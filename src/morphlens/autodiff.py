@@ -4,14 +4,20 @@ The tape is implicit: each operation returns a Tensor holding references to
 its inputs plus a closure that pushes gradients back to them. backward()
 walks that graph once in reverse topological order and recomputes gradients
 from scratch on every call, so repeated calls on the same tape agree.
+
+A closure reaches its own output only through a weak reference, so the tape
+holds no reference cycle: it is freed by reference counting as soon as the
+last tensor of it is dropped, without waiting for the cyclic collector.
 """
 
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NotScalarError, ShapeMismatchError
 
@@ -33,7 +39,7 @@ def no_grad() -> Iterator[None]:
 class Tensor:
     """N-dimensional float64 array with a gradient slot and tape links."""
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -66,11 +72,15 @@ def _recording(parents: Sequence[Tensor]) -> bool:
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
-def _attach(out: Tensor, op: str, parents: Sequence[Tensor], backward_fn: Callable[[], None]) -> None:
+def _attach(
+    out: Tensor, op: str, parents: Sequence[Tensor], backward_fn: Callable[[np.ndarray], None]
+) -> None:
+    """Record out on the tape; backward_fn receives out's gradient when called."""
     out.requires_grad = True
     out.op = op
     out._parents = tuple(parents)
-    out._backward = backward_fn
+    output = weakref.ref(out)
+    out._backward = lambda: backward_fn(output().grad)
 
 
 class GradientStore:
@@ -154,40 +164,43 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeMismatchError(
             f"conv2d: kernel {k_h}x{k_w} exceeds padded input {height + 2 * padding}x{width + 2 * padding}"
         )
-    padded = (
-        np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        if padding
-        else x.data
-    )
+    padded_shape = (batch, c_in, height + 2 * padding, width + 2 * padding)
+    if padding:
+        padded = np.zeros(padded_shape)
+        padded[:, :, padding : padding + height, padding : padding + width] = x.data
+    else:
+        padded = x.data
     # One GEMM on the patch matrix beats accumulating nine strided products.
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k_h, k_w), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * out_h * out_w, c_in * k_h * k_w)
+    s_b, s_c, s_h, s_w = padded.strides
+    windows = as_strided(
+        padded,
+        shape=(batch, out_h, out_w, c_in, k_h, k_w),
+        strides=(s_b, s_h * stride, s_w * stride, s_c, s_h, s_w),
+        writeable=False,
+    )
+    cols = windows.reshape(batch * out_h * out_w, c_in * k_h * k_w)
     acc = (cols @ kernels.data.reshape(c_out, -1).T).reshape(batch, out_h, out_w, c_out)
     acc = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
     acc += bias.data[None, :, None, None]
     out = Tensor(acc)
     if _recording((x, kernels, bias)):
 
-        def _backward() -> None:
-            grad = out.grad
+        def _backward(grad: np.ndarray) -> None:
             if bias.requires_grad:
                 bias.grad += grad.sum(axis=(0, 2, 3))
-            grad_padded = np.zeros_like(padded) if x.requires_grad else None
-            for ki in range(k_h):
-                for kj in range(k_w):
-                    patch = padded[:, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride]
-                    if kernels.requires_grad:
-                        kernels.grad[:, :, ki, kj] += np.einsum("bohw,bchw->oc", grad, patch)
-                    if grad_padded is not None:
+            rows = grad.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, c_out)
+            if kernels.requires_grad:
+                kernels.grad += (rows.T @ cols).reshape(kernels.shape)
+            if x.requires_grad:
+                # col2im: scatter each tap's column block back onto the padded grid
+                d_cols = (rows @ kernels.data.reshape(c_out, -1)).reshape(batch, out_h, out_w, c_in, k_h, k_w)
+                grad_padded = np.zeros(padded_shape)
+                for ki in range(k_h):
+                    for kj in range(k_w):
                         grad_padded[
                             :, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride
-                        ] += np.einsum("bohw,oc->bchw", grad, kernels.data[:, :, ki, kj])
-            if grad_padded is not None:
-                if padding:
-                    x.grad += grad_padded[:, :, padding : padding + height, padding : padding + width]
-                else:
-                    x.grad += grad_padded
+                        ] += d_cols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+                x.grad += grad_padded[:, :, padding : padding + height, padding : padding + width]
 
         _attach(out, "conv2d", (x, kernels, bias), _backward)
     return out
@@ -200,8 +213,8 @@ def relu(x) -> Tensor:
     if _recording((x,)):
         mask = x.data > 0
 
-        def _backward() -> None:
-            x.grad += out.grad * mask
+        def _backward(grad: np.ndarray) -> None:
+            x.grad += grad * mask
 
         _attach(out, "relu", (x,), _backward)
     return out
@@ -219,9 +232,9 @@ def global_average_pool(x) -> Tensor:
     out = Tensor(x.data.mean(axis=(2, 3)))
     if _recording((x,)):
 
-        def _backward() -> None:
+        def _backward(grad: np.ndarray) -> None:
             # every cell receives exactly upstream / cells: divide once, broadcast
-            per_cell = out.grad / cells
+            per_cell = grad / cells
             x.grad += np.broadcast_to(per_cell[:, :, None, None], x.shape)
 
         _attach(out, "global_average_pool", (x,), _backward)
@@ -246,8 +259,9 @@ def dense(x, weights, bias) -> Tensor:
     out = Tensor(result[0] if one_d else result)
     if _recording((x, weights, bias)):
 
-        def _backward() -> None:
-            grad = out.grad[None, :] if one_d else out.grad
+        def _backward(grad: np.ndarray) -> None:
+            if one_d:
+                grad = grad[None, :]
             if x.requires_grad:
                 down = grad @ weights.data.T
                 x.grad += down[0] if one_d else down
@@ -285,11 +299,11 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     out = Tensor(-log_probs[row_index, label_array].mean())
     if _recording((logits,)):
 
-        def _backward() -> None:
+        def _backward(grad: np.ndarray) -> None:
             grad_z = np.exp(log_probs)
             grad_z[row_index, label_array] -= 1.0
             grad_z /= n
-            grad_z *= out.grad
+            grad_z *= grad
             logits.grad += grad_z[0] if one_d else grad_z
 
         _attach(out, "softmax_cross_entropy", (logits,), _backward)
@@ -315,8 +329,8 @@ def dropout(x, rate: float, mode: str = "train", rng=None) -> Tensor:
     out = Tensor(x.data * keep * scale)
     if _recording((x,)):
 
-        def _backward() -> None:
-            x.grad += out.grad * keep * scale
+        def _backward(grad: np.ndarray) -> None:
+            x.grad += grad * keep * scale
 
         _attach(out, "dropout", (x,), _backward)
     return out
@@ -331,8 +345,8 @@ def select(x, index: int) -> Tensor:
     out = Tensor(flat[index])
     if _recording((x,)):
 
-        def _backward() -> None:
-            x.grad.reshape(-1)[index] += float(out.grad)
+        def _backward(grad: np.ndarray) -> None:
+            x.grad.reshape(-1)[index] += float(grad)
 
         _attach(out, "select", (x,), _backward)
     return out
@@ -344,8 +358,8 @@ def reduce_sum(x) -> Tensor:
     out = Tensor(x.data.sum())
     if _recording((x,)):
 
-        def _backward() -> None:
-            x.grad += out.grad
+        def _backward(grad: np.ndarray) -> None:
+            x.grad += grad
 
         _attach(out, "reduce_sum", (x,), _backward)
     return out
@@ -359,11 +373,11 @@ def multiply(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
     if _recording((a, b)):
 
-        def _backward() -> None:
+        def _backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a.grad += out.grad * b.data
+                a.grad += grad * b.data
             if b.requires_grad:
-                b.grad += out.grad * a.data
+                b.grad += grad * a.data
 
         _attach(out, "multiply", (a, b), _backward)
     return out

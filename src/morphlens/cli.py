@@ -9,6 +9,7 @@ nonzero; completed commands exit 0 with byte-deterministic outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -133,6 +134,12 @@ def cmd_gen_data(cfg: RunConfig, ns: argparse.Namespace) -> int:
 
 
 def cmd_train(cfg: RunConfig, ns: argparse.Namespace) -> int:
+    if cfg.epochs < 0:
+        raise CliError(f"epochs must be >= 0, got {cfg.epochs}")
+    if cfg.batch_size < 1:
+        raise CliError(f"batch-size must be >= 1, got {cfg.batch_size}")
+    if not 0.0 < cfg.learning_rate < math.inf:
+        raise CliError(f"learning-rate must be positive and finite, got {cfg.learning_rate!r}")
     corpus = load_corpus(cfg.corpus_dir)
     plan = _plan(cfg)
     model = build_model(plan, cfg.seed)

@@ -1,5 +1,8 @@
 """Unit tests for the reverse-mode engine: op semantics, backward rules, oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from morphlens.autodiff import (
     softmax_cross_entropy,
 )
 from morphlens.errors import NotScalarError, ShapeMismatchError
+from morphlens.model import build_model, plan_scaling
 from morphlens.rng import Lcg
 
 
@@ -129,6 +133,114 @@ def test_conv2d_gradients_match_finite_differences():
             lower = loss_value()
             flat[idx] = saved
             assert grads[idx] == pytest.approx((upper - lower) / (2 * eps), rel=1e-5, abs=1e-8)
+
+
+def reference_conv2d_forward(x, kernels, bias, stride, padding):
+    """The pad + sliding-window formulation, feeding the same GEMM as conv2d."""
+    batch = x.shape[0]
+    c_out, c_in, k_h, k_w = kernels.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k_h, k_w), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    out_h, out_w = windows.shape[2:4]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * out_h * out_w, c_in * k_h * k_w)
+    acc = (cols @ kernels.reshape(c_out, -1).T).reshape(batch, out_h, out_w, c_out)
+    acc = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+    acc += bias[None, :, None, None]
+    return acc
+
+
+def reference_conv2d_grads(x, kernels, grad, stride, padding):
+    """(dx, dkernels, dbias) by accumulating one strided product per kernel tap."""
+    _, _, height, width = x.shape
+    _, _, k_h, k_w = kernels.shape
+    _, _, out_h, out_w = grad.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    d_padded = np.zeros_like(padded)
+    d_kernels = np.zeros_like(kernels)
+    for ki in range(k_h):
+        for kj in range(k_w):
+            rows = slice(ki, ki + stride * out_h, stride)
+            cols = slice(kj, kj + stride * out_w, stride)
+            d_kernels[:, :, ki, kj] = np.einsum("bohw,bchw->oc", grad, padded[:, :, rows, cols])
+            d_padded[:, :, rows, cols] += np.einsum("bohw,oc->bchw", grad, kernels[:, :, ki, kj])
+    d_x = d_padded[:, :, padding : padding + height, padding : padding + width]
+    return d_x, d_kernels, grad.sum(axis=(0, 2, 3))
+
+
+def relative_error(actual, expected):
+    return np.abs(actual - expected).max() / max(np.abs(expected).max(), 1e-300)
+
+
+@pytest.mark.parametrize(
+    "batch, c_in, height, width, c_out, k_h, k_w, stride, padding, wanted",
+    [
+        (1, 3, 9, 9, 4, 3, 3, 1, 1, ("x", "kernels", "bias")),
+        (32, 3, 16, 16, 8, 3, 3, 2, 1, ("x", "kernels", "bias")),
+        (1, 2, 11, 7, 3, 3, 3, 3, 2, ("x", "kernels", "bias")),
+        (32, 2, 10, 13, 4, 3, 3, 3, 0, ("x", "kernels", "bias")),
+        (2, 3, 8, 6, 5, 3, 2, 2, 2, ("x", "kernels", "bias")),
+        (2, 3, 9, 7, 4, 3, 3, 2, 1, ("x",)),
+        (2, 3, 9, 7, 4, 3, 3, 2, 1, ("kernels",)),
+        (2, 3, 9, 7, 4, 3, 3, 2, 1, ("bias",)),
+    ],
+)
+def test_conv2d_backward_matches_tap_loop(batch, c_in, height, width, c_out, k_h, k_w, stride, padding, wanted):
+    rng = np.random.default_rng(batch * 1000 + height * 10 + stride)
+    arrays = {
+        "x": rng.normal(size=(batch, c_in, height, width)),
+        "kernels": rng.normal(size=(c_out, c_in, k_h, k_w)),
+        "bias": rng.normal(size=(c_out,)),
+    }
+    tensors = {name: Tensor(value, requires_grad=name in wanted) for name, value in arrays.items()}
+    out = conv2d(tensors["x"], tensors["kernels"], tensors["bias"], stride, padding)
+    upstream = rng.normal(size=out.shape)
+    store = backward(reduce_sum(multiply(out, Tensor(upstream))))
+    expected = dict(
+        zip(("x", "kernels", "bias"), reference_conv2d_grads(arrays["x"], arrays["kernels"], upstream, stride, padding))
+    )
+    for name, tensor in tensors.items():
+        if name in wanted:
+            assert relative_error(store[tensor], expected[name]) <= 1e-12, name
+        else:
+            assert tensor not in store
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+def test_conv2d_forward_bits_match_reference(batch):
+    model = build_model(plan_scaling(0.0), 1)
+    size = model.input_resolution
+    x = np.random.default_rng(batch).uniform(0.0, 1.0, size=(batch, 3, size, size))
+    with no_grad():
+        _, activations = model.forward(Tensor(x))
+    convs = [(i, layer) for i, layer in enumerate(model.layers) if layer.kind == "conv"]
+    assert convs
+    for i, layer in convs:
+        inputs = activations[i].data
+        with no_grad():
+            out = conv2d(inputs, layer.kernels, layer.bias, layer.stride, layer.padding)
+        expected = reference_conv2d_forward(inputs, layer.kernels.data, layer.bias.data, layer.stride, layer.padding)
+        assert np.array_equal(out.data, expected)
+        assert np.array_equal(activations[i + 1].data, expected)
+
+
+def test_dropped_tape_is_freed_without_cyclic_gc():
+    model = build_model(plan_scaling(0.0), 1)
+    size = model.input_resolution
+    x = np.random.default_rng(5).uniform(0.0, 1.0, size=(2, 3, size, size))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        logits, activations = model.forward(Tensor(x))
+        assert activations[1].op == "conv2d"
+        loss = softmax_cross_entropy(logits, [0, 1])
+        store = backward(loss)
+        tape = [weakref.ref(logits), weakref.ref(activations[1])]
+        del logits, activations, loss, store
+        assert [ref() for ref in tape] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # relu

@@ -102,6 +102,20 @@ def test_train_requires_corpus(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--epochs", "-1"), ("--batch-size", "0"), ("--learning-rate", "0"), ("--learning-rate", "nan")],
+)
+def test_train_rejects_bad_hyperparameters_before_reading_corpus(capsys, flag, value):
+    # no corpus exists: the value must be refused first, in one error line
+    code, out, err = run(capsys, "train", "--config", "run.cfg", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag[2:] in err
+    assert not Path("model.ckpt").exists()
+
+
 # eval
 
 
