@@ -170,17 +170,19 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
         padded[:, :, padding : padding + height, padding : padding + width] = x.data
     else:
         padded = x.data
-    # One GEMM on the patch matrix beats accumulating nine strided products.
+    # Channel-major im2col: per sample, the patch matrix is (c_in·kH·kW) × (oh·ow).
+    # Each gathered run is a whole output row rather than kW values, and one
+    # stacked GEMM with the flat kernels lands the product in NCHW order.
     s_b, s_c, s_h, s_w = padded.strides
     windows = as_strided(
         padded,
-        shape=(batch, out_h, out_w, c_in, k_h, k_w),
-        strides=(s_b, s_h * stride, s_w * stride, s_c, s_h, s_w),
+        shape=(batch, c_in, k_h, k_w, out_h, out_w),
+        strides=(s_b, s_c, s_h, s_w, s_h * stride, s_w * stride),
         writeable=False,
     )
-    cols = windows.reshape(batch * out_h * out_w, c_in * k_h * k_w)
-    acc = (cols @ kernels.data.reshape(c_out, -1).T).reshape(batch, out_h, out_w, c_out)
-    acc = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+    cols = windows.reshape(batch, c_in * k_h * k_w, out_h * out_w)
+    flat_kernels = kernels.data.reshape(c_out, -1)
+    acc = (flat_kernels @ cols).reshape(batch, c_out, out_h, out_w)
     acc += bias.data[None, :, None, None]
     out = Tensor(acc)
     if _recording((x, kernels, bias)):
@@ -188,18 +190,18 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
         def _backward(grad: np.ndarray) -> None:
             if bias.requires_grad:
                 bias.grad += grad.sum(axis=(0, 2, 3))
-            rows = grad.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, c_out)
+            rows = grad.reshape(batch, c_out, out_h * out_w)
             if kernels.requires_grad:
-                kernels.grad += (rows.T @ cols).reshape(kernels.shape)
+                kernels.grad += (rows @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape)
             if x.requires_grad:
-                # col2im: scatter each tap's column block back onto the padded grid
-                d_cols = (rows @ kernels.data.reshape(c_out, -1)).reshape(batch, out_h, out_w, c_in, k_h, k_w)
+                # col2im: scatter each tap's (B, C, oh, ow) block back onto the padded grid
+                d_cols = (flat_kernels.T @ rows).reshape(batch, c_in, k_h, k_w, out_h, out_w)
                 grad_padded = np.zeros(padded_shape)
                 for ki in range(k_h):
                     for kj in range(k_w):
                         grad_padded[
                             :, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride
-                        ] += d_cols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+                        ] += d_cols[:, :, ki, kj]
                 x.grad += grad_padded[:, :, padding : padding + height, padding : padding + width]
 
         _attach(out, "conv2d", (x, kernels, bias), _backward)

@@ -49,5 +49,9 @@ class MetricsError(MorphLensError):
     """Invalid predictions, labels, or confusion counts."""
 
 
+class TrainingError(MorphLensError):
+    """Training diverged: a step's loss or a trained parameter is not finite."""
+
+
 class CliError(MorphLensError):
     """Command-level failure: missing inputs, bad arguments."""

@@ -26,6 +26,7 @@ from .errors import (
     LayerIndexError,
     PlanConstraintError,
     ResolutionMismatchError,
+    TrainingError,
 )
 from .rng import Lcg, derive_seed
 
@@ -257,6 +258,7 @@ class CnnModel:
         return current, activations
 
     def load_parameters(self, named: list[tuple[str, np.ndarray]]) -> None:
+        """Replace every parameter; all entries are checked before any is assigned."""
         own = self.parameters()
         if len(named) != len(own):
             raise FormatError(f"checkpoint has {len(named)} parameters, model expects {len(own)}")
@@ -268,6 +270,9 @@ class CnnModel:
                     f"checkpoint parameter {got_name!r} has shape {values.shape}, "
                     f"model expects {tensor.data.shape}"
                 )
+            if not np.isfinite(values).all():
+                raise FormatError(f"checkpoint parameter {got_name!r} holds non-finite values")
+        for (_, values), (_, tensor) in zip(named, own):
             tensor.data = values.astype(np.float64, copy=True)
 
 
@@ -435,6 +440,8 @@ def train(
     interleaves the classes proportionally, so each batch mirrors the overall
     class balance and both gradient streams are present in every update. The
     head dropout draws from a dedicated stream that advances across steps.
+    Raises TrainingError as soon as a step's loss, or any parameter after the
+    last update, is not finite.
     """
     if not dataset:
         raise DataError("cannot train on an empty dataset")
@@ -453,6 +460,7 @@ def train(
     n = len(dataset)
     pools = [np.flatnonzero(labels == c).tolist() for c in (0, 1)]
     losses: list[float] = []
+    diverged = f"training diverged, try a smaller learning rate than {learning_rate!r}"
     for epoch in range(epochs):
         shuffle_rng = Lcg(derive_seed(seed, _SHUFFLE_STREAM, epoch))
         for pool in pools:
@@ -463,13 +471,21 @@ def train(
             batch = order[start : start + batch_size]
             logits, _ = model.forward(Tensor(inputs[batch]), train=True, rng=dropout_rng)
             loss = softmax_cross_entropy(logits, labels[batch])
+            step_loss = float(loss.data)
+            if not math.isfinite(step_loss):
+                raise TrainingError(
+                    f"loss became {step_loss!r} at epoch {epoch + 1}, step {start // batch_size + 1}; {diverged}"
+                )
             store = backward(loss)
             for tensor in params:
                 grad = store.get(tensor)
                 if grad is not None:
                     tensor.data -= learning_rate * grad
-            total += float(loss.data) * len(batch)
+            total += step_loss * len(batch)
         losses.append(total / n)
+    for name, tensor in model.parameters():
+        if not np.isfinite(tensor.data).all():
+            raise TrainingError(f"parameter {name!r} is not finite after training; {diverged}")
     logits = _eval_logits(model, inputs)
     predictions = (logits[:, 1] > logits[:, 0]).astype(np.int64)  # ties -> bona fide
     accuracy = float((predictions == labels).mean())

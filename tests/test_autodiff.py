@@ -224,6 +224,30 @@ def test_conv2d_forward_bits_match_reference(batch):
         assert np.array_equal(activations[i + 1].data, expected)
 
 
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("phi", [1.0, 2.0, 3.0])
+def test_conv2d_scaled_layers_match_reference(phi, batch):
+    # above phi = 0 the GEMM may sum in another order than the reference, so compare to rounding
+    model = build_model(plan_scaling(phi), 1)
+    size = model.input_resolution
+    rng = np.random.default_rng(int(phi) * 100 + batch)
+    with no_grad():
+        _, activations = model.forward(Tensor(rng.normal(size=(batch, 3, size, size))))
+    convs = [(i, layer) for i, layer in enumerate(model.layers) if layer.kind == "conv"]
+    assert len(convs) >= 2
+    for i, layer in convs:
+        inputs = activations[i].data
+        x, kernels, bias = (Tensor(a, requires_grad=True) for a in (inputs, layer.kernels.data, layer.bias.data))
+        out = conv2d(x, kernels, bias, layer.stride, layer.padding)
+        expected = reference_conv2d_forward(inputs, kernels.data, bias.data, layer.stride, layer.padding)
+        assert relative_error(out.data, expected) <= 1e-12, i
+        upstream = rng.normal(size=out.shape)
+        store = backward(reduce_sum(multiply(out, Tensor(upstream))))
+        wanted = reference_conv2d_grads(inputs, kernels.data, upstream, layer.stride, layer.padding)
+        for tensor, grad in zip((x, kernels, bias), wanted):
+            assert relative_error(store[tensor], grad) <= 1e-12, i
+
+
 def test_dropped_tape_is_freed_without_cyclic_gc():
     model = build_model(plan_scaling(0.0), 1)
     size = model.input_resolution

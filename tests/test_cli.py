@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from morphlens.checkpoint import decode_params, encode_params
 from morphlens.cli import main
 from morphlens.explain import decode_feature_vector
 from morphlens.metrics import parse_report
@@ -116,6 +117,23 @@ def test_train_rejects_bad_hyperparameters_before_reading_corpus(capsys, flag, v
     assert not Path("model.ckpt").exists()
 
 
+def error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_divergence_fails_and_keeps_the_previous_checkpoint(capsys):
+    run_chain(capsys, "gen-data", "train")
+    previous = {name: Path(name).read_bytes() for name in ("model.ckpt", "model.ckpt.plan")}
+    code, out, err = run(capsys, "train", "--config", "run.cfg", "--learning-rate", "1e200")
+    assert code == 1
+    assert out == ""
+    assert len(error_lines(err)) == 1
+    assert "training diverged" in err
+    for name, content in previous.items():
+        assert Path(name).read_bytes() == content, name
+
+
 # eval
 
 
@@ -139,6 +157,22 @@ def test_eval_requires_checkpoint(capsys):
     assert code == 1
     assert err.startswith("error:")
     assert "train" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_non_finite_checkpoint_is_refused_in_one_error_line(capsys, command):
+    image = run_chain(capsys, "gen-data", "train")
+    extra = ["--image", str(image)] if command == "explain" else []
+    named = decode_params(Path("model.ckpt").read_bytes())
+    name, values = named[0]
+    values.flat[0] = np.nan
+    Path("model.ckpt").write_bytes(encode_params(named))
+    code, out, err = run(capsys, command, "--config", "run.cfg", *extra)
+    assert code == 1
+    assert out == ""
+    assert error_lines(err) == [err.rstrip("\n")]
+    assert repr(name) in err and "non-finite" in err
+    assert not Path("out").exists()
 
 
 # explain

@@ -11,6 +11,7 @@ from morphlens.errors import (
     LayerIndexError,
     PlanConstraintError,
     ResolutionMismatchError,
+    TrainingError,
 )
 from morphlens.model import (
     CnnModel,
@@ -243,6 +244,16 @@ def test_train_errors():
         train(model, [face], epochs=1, learning_rate=0.0, seed=1)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("epochs, reason", [(2, "parameter 'conv0.kernels' is not finite"), (3, "loss became nan")])
+def test_train_refuses_to_finish_with_non_finite_values(epochs, reason):
+    # one step per epoch: the second update overflows the kernels, the third forward yields NaN
+    corpus = build_corpus(4, 4, seed=1, resolution=16)
+    model = build_model(default_plan(), 1)
+    with pytest.raises(TrainingError, match=reason):
+        train(model, corpus, epochs=epochs, batch_size=8, learning_rate=1e200, seed=1)
+
+
 def test_train_batches_mix_classes():
     # the per-epoch order interleaves labels, so no batch is single-class
     corpus = build_corpus(16, 16, seed=9, resolution=16)
@@ -336,6 +347,19 @@ def test_load_parameters_round_trip_and_errors():
     renamed = [("bogus" if i == 0 else name, values) for i, (name, values) in enumerate(decode_params(blob))]
     with pytest.raises(FormatError):
         other.load_parameters(renamed)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_parameters_rejects_non_finite_values_and_keeps_the_model(bad):
+    model = build_model(default_plan(), 3)
+    named = decode_params(encode_params(named_arrays(model)))
+    name, values = named[-1]
+    values.flat[0] = bad
+    other = build_model(default_plan(), 8)
+    before = encode_params(named_arrays(other))
+    with pytest.raises(FormatError, match=f"parameter {name!r} holds non-finite values"):
+        other.load_parameters(named)
+    assert encode_params(named_arrays(other)) == before
 
 
 def test_forward_activation_list_alignment():
