@@ -8,11 +8,21 @@ from scratch on every call, so repeated calls on the same tape agree.
 A closure reaches its own output only through a weak reference, so the tape
 holds no reference cycle: it is freed by reference counting as soon as the
 last tensor of it is dropped, without waiting for the cyclic collector.
+
+Each node also records how to rerun itself: the op applied to new parent
+tensors, with the op's other arguments fixed. gradient_check uses that to
+replay a recorded tape: a probe of one parameter reruns only the nodes
+downstream of it and reads every other value from the recording, the way
+ADOL-C re-evaluates a taped function at new inputs (Griewank & Walther,
+Evaluating Derivatives, 2008). Train-mode dropout records no rerun, since
+its mask comes from a generator; a tape holding one falls back to full
+network calls, as does a network that reads a parameter off the tape.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import weakref
 from typing import Callable, Iterator, Sequence
 
@@ -39,7 +49,7 @@ def no_grad() -> Iterator[None]:
 class Tensor:
     """N-dimensional float64 array with a gradient slot and tape links."""
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward", "_rerun", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -48,6 +58,7 @@ class Tensor:
         self.op: str | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[], None] | None = None
+        self._rerun: Callable[..., Tensor] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -73,12 +84,21 @@ def _recording(parents: Sequence[Tensor]) -> bool:
 
 
 def _attach(
-    out: Tensor, op: str, parents: Sequence[Tensor], backward_fn: Callable[[np.ndarray], None]
+    out: Tensor,
+    op: str,
+    parents: Sequence[Tensor],
+    backward_fn: Callable[[np.ndarray], None],
+    rerun: Callable[..., Tensor] | None,
 ) -> None:
-    """Record out on the tape; backward_fn receives out's gradient when called."""
+    """Record out on the tape; backward_fn receives out's gradient when called.
+
+    rerun(*parents) recomputes out from (possibly different) parent tensors,
+    or is None when the op cannot be replayed exactly.
+    """
     out.requires_grad = True
     out.op = op
     out._parents = tuple(parents)
+    out._rerun = rerun
     output = weakref.ref(out)
     out._backward = lambda: backward_fn(output().grad)
 
@@ -108,14 +128,8 @@ class GradientStore:
         return self._grads.items()
 
 
-def backward(loss: Tensor) -> GradientStore:
-    """Propagate from a scalar loss; returns gradients for every leaf reached.
-
-    Gradients are zeroed and recomputed on entry, so calling backward twice
-    on the same tape yields identical results.
-    """
-    if loss.data.size != 1:
-        raise NotScalarError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+def _tape_order(loss: Tensor) -> list[Tensor]:
+    """Every node that loss depends on through the tape, parents before children."""
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -131,6 +145,18 @@ def backward(loss: Tensor) -> GradientStore:
         for parent in node._parents:
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
+    return topo
+
+
+def backward(loss: Tensor) -> GradientStore:
+    """Propagate from a scalar loss; returns gradients for every leaf reached.
+
+    Gradients are zeroed and recomputed on entry, so calling backward twice
+    on the same tape yields identical results.
+    """
+    if loss.data.size != 1:
+        raise NotScalarError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+    topo = _tape_order(loss)
     for node in topo:
         node.grad = np.zeros_like(node.data)
     loss.grad = np.ones_like(loss.data)
@@ -204,7 +230,9 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
                         ] += d_cols[:, :, ki, kj]
                 x.grad += grad_padded[:, :, padding : padding + height, padding : padding + width]
 
-        _attach(out, "conv2d", (x, kernels, bias), _backward)
+        _attach(
+            out, "conv2d", (x, kernels, bias), _backward, lambda a, k, b: conv2d(a, k, b, stride, padding)
+        )
     return out
 
 
@@ -218,7 +246,7 @@ def relu(x) -> Tensor:
         def _backward(grad: np.ndarray) -> None:
             x.grad += grad * mask
 
-        _attach(out, "relu", (x,), _backward)
+        _attach(out, "relu", (x,), _backward, relu)
     return out
 
 
@@ -239,7 +267,7 @@ def global_average_pool(x) -> Tensor:
             per_cell = grad / cells
             x.grad += np.broadcast_to(per_cell[:, :, None, None], x.shape)
 
-        _attach(out, "global_average_pool", (x,), _backward)
+        _attach(out, "global_average_pool", (x,), _backward, global_average_pool)
     return out
 
 
@@ -272,7 +300,7 @@ def dense(x, weights, bias) -> Tensor:
             if bias.requires_grad:
                 bias.grad += grad.sum(axis=0)
 
-        _attach(out, "dense", (x, weights, bias), _backward)
+        _attach(out, "dense", (x, weights, bias), _backward, dense)
     return out
 
 
@@ -308,7 +336,9 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
             grad_z *= grad
             logits.grad += grad_z[0] if one_d else grad_z
 
-        _attach(out, "softmax_cross_entropy", (logits,), _backward)
+        _attach(
+            out, "softmax_cross_entropy", (logits,), _backward, lambda a: softmax_cross_entropy(a, label_array)
+        )
     return out
 
 
@@ -334,7 +364,8 @@ def dropout(x, rate: float, mode: str = "train", rng=None) -> Tensor:
         def _backward(grad: np.ndarray) -> None:
             x.grad += grad * keep * scale
 
-        _attach(out, "dropout", (x,), _backward)
+        # the mask came from rng, so a rerun would draw a different one
+        _attach(out, "dropout", (x,), _backward, None)
     return out
 
 
@@ -350,7 +381,7 @@ def select(x, index: int) -> Tensor:
         def _backward(grad: np.ndarray) -> None:
             x.grad.reshape(-1)[index] += float(grad)
 
-        _attach(out, "select", (x,), _backward)
+        _attach(out, "select", (x,), _backward, lambda a: select(a, index))
     return out
 
 
@@ -363,7 +394,7 @@ def reduce_sum(x) -> Tensor:
         def _backward(grad: np.ndarray) -> None:
             x.grad += grad
 
-        _attach(out, "reduce_sum", (x,), _backward)
+        _attach(out, "reduce_sum", (x,), _backward, reduce_sum)
     return out
 
 
@@ -381,8 +412,28 @@ def multiply(a, b) -> Tensor:
             if b.requires_grad:
                 b.grad += grad * a.data
 
-        _attach(out, "multiply", (a, b), _backward)
+        _attach(out, "multiply", (a, b), _backward, multiply)
     return out
+
+
+def _downstream(order: Sequence[Tensor], source: Tensor) -> list[Tensor]:
+    """The nodes of order whose value depends on source, in order."""
+    reached = {id(source)}
+    nodes = []
+    for node in order:
+        if any(id(parent) in reached for parent in node._parents):
+            reached.add(id(node))
+            nodes.append(node)
+    return nodes
+
+
+def _replay(nodes: Sequence[Tensor]) -> float:
+    """Rerun nodes in order; a parent outside nodes keeps its recorded value."""
+    fresh: dict[int, Tensor] = {}
+    for node in nodes:
+        out = node._rerun(*[fresh.get(id(parent), parent) for parent in node._parents])
+        fresh[id(node)] = out
+    return float(out.data)
 
 
 def gradient_check(network, input_values, epsilon: float = 1e-5) -> float:
@@ -393,27 +444,50 @@ def gradient_check(network, input_values, epsilon: float = 1e-5) -> float:
     probed with a central difference at +-epsilon and compared against the
     tape gradient as |analytic - numeric| / max(|analytic|, |numeric|, 1e-12);
     the max over all components is returned.
+
+    The loss is recorded once. A probe of a parameter then replays only the
+    tape nodes downstream of it, under no_grad, with the same op functions;
+    every other node keeps its recorded value, so each probed loss equals the
+    one a full network(x) call gives. Two cases get full calls instead, for
+    one whole parameter tensor: a downstream node that cannot be replayed
+    (train-mode dropout), and a network whose loss also depends on the
+    parameter off the tape. The guard for the second case shifts every
+    component of the tensor by epsilon at once and requires the replayed
+    loss to equal a full call bit for bit.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     x = Tensor(np.asarray(input_values, dtype=np.float64))
-    store = backward(network(x))
+    loss = network(x)
+    store = backward(loss)
+    order = _tape_order(loss)
+
+    def full_call() -> float:
+        return float(network(x).data)
+
     worst = 0.0
-    for _name, param in network.parameters():
-        analytic = store[param].reshape(-1)
-        flat = param.data.reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + epsilon
-            with no_grad():
-                upper = float(network(x).data)
-            flat[i] = saved - epsilon
-            with no_grad():
-                lower = float(network(x).data)
-            flat[i] = saved
-            numeric = (upper - lower) / (2.0 * epsilon)
-            denom = max(abs(analytic[i]), abs(numeric), 1e-12)
-            error = abs(analytic[i] - numeric) / denom
-            if error > worst:
-                worst = error
+    with no_grad():
+        for _name, param in network.parameters():
+            analytic = store[param].reshape(-1)
+            flat = param.data.reshape(-1)
+            nodes = _downstream(order, param)
+            probe = full_call
+            if nodes and all(node._rerun is not None for node in nodes):
+                original = flat.copy()
+                flat += epsilon
+                if _replay(nodes) == full_call():
+                    probe = functools.partial(_replay, nodes)
+                flat[:] = original
+            for i in range(flat.size):
+                saved = flat[i]
+                flat[i] = saved + epsilon
+                upper = probe()
+                flat[i] = saved - epsilon
+                lower = probe()
+                flat[i] = saved
+                numeric = (upper - lower) / (2.0 * epsilon)
+                denom = max(abs(analytic[i]), abs(numeric), 1e-12)
+                error = abs(analytic[i] - numeric) / denom
+                if error > worst:
+                    worst = error
     return worst

@@ -240,6 +240,8 @@ def ensemble(
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (3,):
         raise ExplainError(f"ensemble needs exactly 3 weights, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ExplainError(f"ensemble weights must be finite, got {tuple(w)}")
     if (w < 0).any():
         raise ExplainError(f"ensemble weights must be non-negative, got {tuple(w)}")
     total = w.sum()

@@ -93,8 +93,8 @@ def plan_scaling(
     The coefficients must satisfy alpha * beta^2 * gamma^2 in [2 - tau, 2 + tau]
     so one step of phi roughly doubles the model's cost.
     """
-    if phi < 0:
-        raise PlanConstraintError(f"phi must be >= 0, got {phi}")
+    if not (math.isfinite(phi) and phi >= 0):
+        raise PlanConstraintError(f"phi must be finite and >= 0, got {phi}")
     if alpha < 1 or beta < 1 or gamma < 1:
         raise PlanConstraintError(f"alpha, beta, gamma must each be >= 1, got ({alpha}, {beta}, {gamma})")
     if base_depth < 1 or base_width < 1 or base_resolution < 1:
@@ -403,10 +403,20 @@ class TrainReport:
     seed: int
 
 
-def _eval_logits(model: CnnModel, inputs: np.ndarray) -> np.ndarray:
+def _eval_logits(model: CnnModel, inputs: np.ndarray, batch_size: int) -> np.ndarray:
+    """No-grad logits of every input, as one full-batch forward gives them.
+
+    The layers up to the head run in batch_size chunks, so no patch matrix
+    spans the whole split; they treat each sample on its own. The dense head
+    then runs once over all rows, because a GEMM's rounding of a row can
+    depend on how many rows share the call.
+    """
+    features = []
     with no_grad():
-        logits, _ = model.forward(Tensor(inputs))
-    return logits.data
+        for start in range(0, len(inputs), batch_size):
+            _, activations = model.forward(Tensor(inputs[start : start + batch_size]))
+            features.append(activations[-2].data)
+        return model.layers[-1].forward(Tensor(np.concatenate(features))).data
 
 
 def _balanced_order(pools: list[list[int]]) -> list[int]:
@@ -461,32 +471,36 @@ def train(
     pools = [np.flatnonzero(labels == c).tolist() for c in (0, 1)]
     losses: list[float] = []
     diverged = f"training diverged, try a smaller learning rate than {learning_rate!r}"
-    for epoch in range(epochs):
-        shuffle_rng = Lcg(derive_seed(seed, _SHUFFLE_STREAM, epoch))
-        for pool in pools:
-            shuffle_rng.shuffle(pool)
-        order = _balanced_order(pools)
-        total = 0.0
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            logits, _ = model.forward(Tensor(inputs[batch]), train=True, rng=dropout_rng)
-            loss = softmax_cross_entropy(logits, labels[batch])
-            step_loss = float(loss.data)
-            if not math.isfinite(step_loss):
-                raise TrainingError(
-                    f"loss became {step_loss!r} at epoch {epoch + 1}, step {start // batch_size + 1}; {diverged}"
-                )
-            store = backward(loss)
-            for tensor in params:
-                grad = store.get(tensor)
-                if grad is not None:
-                    tensor.data -= learning_rate * grad
-            total += step_loss * len(batch)
-        losses.append(total / n)
+    # A diverging run overflows long before TrainingError reports it; numpy's
+    # warnings would only repeat that, with source paths, on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            shuffle_rng = Lcg(derive_seed(seed, _SHUFFLE_STREAM, epoch))
+            for pool in pools:
+                shuffle_rng.shuffle(pool)
+            order = _balanced_order(pools)
+            total = 0.0
+            for start in range(0, n, batch_size):
+                batch = order[start : start + batch_size]
+                logits, _ = model.forward(Tensor(inputs[batch]), train=True, rng=dropout_rng)
+                loss = softmax_cross_entropy(logits, labels[batch])
+                step_loss = float(loss.data)
+                if not math.isfinite(step_loss):
+                    raise TrainingError(
+                        f"loss became {step_loss!r} at epoch {epoch + 1}, "
+                        f"step {start // batch_size + 1}; {diverged}"
+                    )
+                store = backward(loss)
+                for tensor in params:
+                    grad = store.get(tensor)
+                    if grad is not None:
+                        tensor.data -= learning_rate * grad
+                total += step_loss * len(batch)
+            losses.append(total / n)
     for name, tensor in model.parameters():
         if not np.isfinite(tensor.data).all():
             raise TrainingError(f"parameter {name!r} is not finite after training; {diverged}")
-    logits = _eval_logits(model, inputs)
+    logits = _eval_logits(model, inputs, batch_size)
     predictions = (logits[:, 1] > logits[:, 0]).astype(np.int64)  # ties -> bona fide
     accuracy = float((predictions == labels).mean())
     return TrainReport(tuple(losses), accuracy, epochs, batch_size, seed)

@@ -23,7 +23,7 @@ from morphlens.autodiff import (
     softmax_cross_entropy,
 )
 from morphlens.errors import NotScalarError, ShapeMismatchError
-from morphlens.model import build_model, plan_scaling
+from morphlens.model import ClassificationObjective, build_model, plan_scaling
 from morphlens.rng import Lcg
 
 
@@ -603,6 +603,124 @@ def test_gradient_check_rejects_bad_epsilon():
 def test_full_network_backward_vs_finite_differences():
     net, x = smooth_state(41)
     assert gradient_check(net, x, epsilon=1e-5) < 1e-4
+
+
+def full_call_gradient_check(network, input_values, epsilon=1e-5):
+    """The oracle without replay: every probe is a full network(x) call."""
+    x = Tensor(np.asarray(input_values, dtype=np.float64))
+    store = backward(network(x))
+    worst = 0.0
+    for _name, param in network.parameters():
+        analytic = store[param].reshape(-1)
+        flat = param.data.reshape(-1)
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + epsilon
+            with no_grad():
+                upper = float(network(x).data)
+            flat[i] = saved - epsilon
+            with no_grad():
+                lower = float(network(x).data)
+            flat[i] = saved
+            numeric = (upper - lower) / (2.0 * epsilon)
+            denom = max(abs(analytic[i]), abs(numeric), 1e-12)
+            worst = max(worst, abs(analytic[i] - numeric) / denom)
+    return worst
+
+
+class CountingNet:
+    """Delegates to a network and counts its calls."""
+
+    def __init__(self, network):
+        self.network = network
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.network(x)
+
+    def parameters(self):
+        return self.network.parameters()
+
+
+def randomized_objective(seed):
+    model = build_model(plan_scaling(0.0), seed=0)
+    rng = np.random.default_rng(seed)
+    for _, tensor in model.parameters():
+        tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
+    image = rng.uniform(0.0, 1.0, size=(1, 3, model.input_resolution, model.input_resolution))
+    return ClassificationObjective(model, label=seed % 2), image
+
+
+@pytest.mark.parametrize("seed", [0, 41, 97])
+def test_replayed_oracle_matches_full_calls_bit_for_bit_on_two_conv_nets(seed):
+    net, x = smooth_state(seed)
+    assert gradient_check(net, x) == full_call_gradient_check(net, x)
+
+
+def test_replayed_oracle_matches_full_calls_bit_for_bit_on_default_model():
+    objective, image = randomized_objective(5)
+    assert gradient_check(objective, image) == full_call_gradient_check(objective, image)
+
+
+def test_replayed_oracle_calls_the_network_once_per_parameter_tensor():
+    objective, image = randomized_objective(6)
+    counting = CountingNet(objective)
+    gradient_check(counting, image)
+    tensors = objective.parameters()
+    assert sum(p.size for _, p in tensors) == 1426
+    # one recording, then one guard call per tensor; every probe is replayed
+    assert counting.calls == 1 + len(tensors) == 1 + 6
+
+
+class LeakyBiasNet(LinearNet):
+    """The bias reads a weight off the tape, so replay alone misses part of dL/dw."""
+
+    def __init__(self, k):
+        super().__init__()
+        self.k = k
+
+    def __call__(self, x):
+        return reduce_sum(dense(x, self.w, Tensor(3 * self.w.data[self.k])))
+
+    def parameters(self):
+        return [("w", self.w)]
+
+
+@pytest.mark.parametrize("k, expected", [(0, 3.0 / 3.7), (1, 3.0 / 2.7)])
+def test_replayed_oracle_still_sees_a_parameter_read_off_the_tape(k, expected):
+    # analytic dL/dw = x; the full call also sees the bias move by 3 per unit of w[k]
+    error = gradient_check(LeakyBiasNet(k), np.array([0.7, -0.3]))
+    assert error >= 0.5
+    assert error == pytest.approx(expected, rel=1e-6)
+
+
+class TrainDropoutNet:
+    """dense -> train-mode dropout -> dense -> sum; the mask is reseeded on every call."""
+
+    def __init__(self):
+        rng = np.random.default_rng(3)
+        self.w0 = leaf(rng.normal(size=(2, 6)))
+        self.b0 = leaf(rng.normal(size=(6,)))
+        self.w1 = leaf(rng.normal(size=(6, 1)))
+        self.b1 = leaf(rng.normal(size=(1,)))
+
+    def __call__(self, x):
+        hidden = dropout(dense(x, self.w0, self.b0), 0.5, "train", Lcg(7))
+        return reduce_sum(dense(hidden, self.w1, self.b1))
+
+    def parameters(self):
+        return [("w0", self.w0), ("b0", self.b0), ("w1", self.w1), ("b1", self.b1)]
+
+
+def test_replayed_oracle_falls_back_to_full_calls_through_train_dropout():
+    x = np.array([0.7, -0.3])
+    counting = CountingNet(TrainDropoutNet())
+    worst = gradient_check(counting, x)
+    assert worst == full_call_gradient_check(TrainDropoutNet(), x)
+    # w0 and b0 sit before the dropout: two full calls per component; w1 and
+    # b1 replay after one guard call each
+    assert counting.calls == 1 + 2 * (12 + 6) + 2
 
 
 def test_select_and_multiply_contracts():

@@ -134,6 +134,28 @@ def test_train_divergence_fails_and_keeps_the_previous_checkpoint(capsys):
         assert Path(name).read_bytes() == content, name
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_warns_nothing_on_divergence(capsys):
+    # a numpy overflow warning would raise here; stderr holds only the error line
+    run_chain(capsys, "gen-data")
+    code, out, err = run(capsys, "train", "--config", "run.cfg", "--learning-rate", "1e200")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "training diverged" in err
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf"])
+def test_train_rejects_non_finite_phi_in_one_error_line(capsys, phi):
+    run_chain(capsys, "gen-data")
+    code, out, err = run(capsys, "train", "--config", "run.cfg", "--phi", phi)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "phi must be finite" in err
+    assert not Path("model.ckpt").exists()
+
+
 # eval
 
 
@@ -226,6 +248,16 @@ def test_explain_degenerate_weights_reduce_to_saliency(capsys):
     ens = Path("out/ensemble.xhm").read_bytes().split(b"\n", 1)[1]
     sal = Path("out/saliency.xhm").read_bytes().split(b"\n", 1)[1]
     assert ens == sal
+
+
+def test_explain_rejects_non_finite_weights_in_one_error_line(capsys):
+    image = run_chain(capsys, "gen-data", "train")
+    code, _, err = run(
+        capsys, "explain", "--config", "run.cfg", "--image", str(image), "--ensemble-weights", "nan,0,1"
+    )
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "ensemble weights must be finite" in err
 
 
 def test_explain_missing_image(capsys):

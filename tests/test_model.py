@@ -65,6 +65,12 @@ def test_plan_constraint_violation():
         plan_scaling(1.0, alpha=0.9, beta=1.3, gamma=1.1)
 
 
+@pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
+def test_plan_rejects_non_finite_phi(phi):
+    with pytest.raises(PlanConstraintError, match="finite"):
+        plan_scaling(phi)
+
+
 def test_plan_multipliers_exact_powers():
     plan = plan_scaling(2.0, 1.2, 1.1, 1.15)
     assert plan.depth_mult == 1.2**2.0
@@ -252,6 +258,24 @@ def test_train_refuses_to_finish_with_non_finite_values(epochs, reason):
     model = build_model(default_plan(), 1)
     with pytest.raises(TrainingError, match=reason):
         train(model, corpus, epochs=epochs, batch_size=8, learning_rate=1e200, seed=1)
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.0])
+def test_chunked_eval_logits_match_one_batch_bit_for_bit(phi):
+    from morphlens.autodiff import Tensor, no_grad
+    from morphlens.model import _eval_logits
+
+    model = build_model(plan_scaling(phi), 2)
+    rng = np.random.default_rng(4)
+    for _, tensor in model.parameters():  # a nonzero head, so the logits differ
+        tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
+    res = model.input_resolution
+    inputs = rng.uniform(0.0, 1.0, size=(13, 3, res, res))
+    with no_grad():
+        whole = model.forward(Tensor(inputs))[0].data
+    chunked = _eval_logits(model, inputs, 5)  # chunks of 5, 5 and 3
+    assert chunked.shape == (13, 2)
+    assert chunked.tobytes() == whole.tobytes()
 
 
 def test_train_batches_mix_classes():
