@@ -5,194 +5,9 @@ images (bona fide vs. morphed), explains its decisions with gradient and
 class-evidence heatmaps, and scores it with presentation-attack metrics.
 Everything is deterministic given a seed: data synthesis, initialization,
 training order, dropout masks, and file encodings.
+
+The modules are the API (`morphlens.autodiff`, `morphlens.model`,
+`morphlens.explain`, ...); the package root holds only the version.
 """
 
-from .autodiff import (
-    GradientStore,
-    Tensor,
-    backward,
-    conv2d,
-    dense,
-    dropout,
-    global_average_pool,
-    gradient_check,
-    multiply,
-    no_grad,
-    reduce_sum,
-    relu,
-    select,
-    softmax_cross_entropy,
-)
-from .checkpoint import decode_params, encode_params, load_params, save_params
-from .config import CONFIG_KEYS, RunConfig, format_config, load_config, parse_config, parse_value
-from .data import (
-    DatasetSplit,
-    LabeledImage,
-    Provenance,
-    build_corpus,
-    generate_face,
-    load_corpus,
-    morph,
-    preprocess,
-    save_corpus,
-    split,
-)
-from .errors import (
-    ArchitectureError,
-    CliError,
-    DataError,
-    ExplainError,
-    FormatError,
-    ImageError,
-    LayerIndexError,
-    MetricsError,
-    MorphLensError,
-    NotScalarError,
-    PlanConstraintError,
-    ResolutionMismatchError,
-    ShapeMismatchError,
-    TrainingError,
-)
-from .explain import (
-    EnsembleResult,
-    Heatmap,
-    ImportanceWeights,
-    cam,
-    decode_feature_vector,
-    decode_heatmap,
-    encode_feature_vector,
-    encode_heatmap,
-    ensemble,
-    gradcam,
-    normalize_map,
-    read_heatmap,
-    saliency_map,
-    upsample,
-    write_heatmap,
-)
-from .metrics import (
-    ConfusionCounts,
-    MetricsReport,
-    compute_metrics,
-    confusion,
-    format_report,
-    hter_from_rates,
-    identity_check,
-    parse_report,
-)
-from .model import (
-    CnnModel,
-    ClassificationObjective,
-    Prediction,
-    ScalingPlan,
-    TrainReport,
-    build_model,
-    dump_layer_activations,
-    load_plan_sidecar,
-    plan_scaling,
-    predict,
-    save_plan_sidecar,
-    train,
-)
-from .resample import bilinear_resize
-from .rng import Lcg, derive_seed, noise_grid
-from .viz import RgbImage, colorize, decode_pgm, decode_ppm, encode_pgm, encode_ppm, superimpose
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArchitectureError",
-    "CONFIG_KEYS",
-    "CliError",
-    "CnnModel",
-    "ClassificationObjective",
-    "ConfusionCounts",
-    "DataError",
-    "DatasetSplit",
-    "EnsembleResult",
-    "ExplainError",
-    "FormatError",
-    "GradientStore",
-    "Heatmap",
-    "ImageError",
-    "ImportanceWeights",
-    "LabeledImage",
-    "LayerIndexError",
-    "Lcg",
-    "MetricsError",
-    "MetricsReport",
-    "MorphLensError",
-    "NotScalarError",
-    "PlanConstraintError",
-    "Prediction",
-    "Provenance",
-    "ResolutionMismatchError",
-    "RgbImage",
-    "RunConfig",
-    "ScalingPlan",
-    "ShapeMismatchError",
-    "Tensor",
-    "TrainReport",
-    "TrainingError",
-    "backward",
-    "bilinear_resize",
-    "build_corpus",
-    "build_model",
-    "cam",
-    "colorize",
-    "compute_metrics",
-    "confusion",
-    "conv2d",
-    "decode_feature_vector",
-    "decode_heatmap",
-    "decode_params",
-    "decode_pgm",
-    "decode_ppm",
-    "dense",
-    "derive_seed",
-    "dropout",
-    "dump_layer_activations",
-    "encode_feature_vector",
-    "encode_heatmap",
-    "encode_params",
-    "encode_pgm",
-    "encode_ppm",
-    "ensemble",
-    "format_config",
-    "format_report",
-    "generate_face",
-    "global_average_pool",
-    "gradcam",
-    "gradient_check",
-    "hter_from_rates",
-    "identity_check",
-    "load_config",
-    "load_corpus",
-    "load_params",
-    "load_plan_sidecar",
-    "morph",
-    "multiply",
-    "no_grad",
-    "noise_grid",
-    "normalize_map",
-    "parse_config",
-    "parse_report",
-    "parse_value",
-    "plan_scaling",
-    "predict",
-    "preprocess",
-    "read_heatmap",
-    "reduce_sum",
-    "relu",
-    "saliency_map",
-    "save_corpus",
-    "save_params",
-    "save_plan_sidecar",
-    "select",
-    "softmax_cross_entropy",
-    "split",
-    "superimpose",
-    "train",
-    "upsample",
-    "write_heatmap",
-]

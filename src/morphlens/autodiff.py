@@ -68,9 +68,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
@@ -103,31 +100,6 @@ def _attach(
     out._backward = lambda: backward_fn(output().grad)
 
 
-class GradientStore:
-    """Leaf gradients from one backward pass, keyed by tensor identity."""
-
-    def __init__(self, grads: dict[Tensor, np.ndarray]):
-        self._grads = grads
-
-    def __getitem__(self, tensor: Tensor) -> np.ndarray:
-        try:
-            return self._grads[tensor]
-        except KeyError:
-            raise KeyError("tensor did not participate in the backward pass") from None
-
-    def get(self, tensor: Tensor, default=None):
-        return self._grads.get(tensor, default)
-
-    def __contains__(self, tensor: Tensor) -> bool:
-        return tensor in self._grads
-
-    def __len__(self) -> int:
-        return len(self._grads)
-
-    def items(self):
-        return self._grads.items()
-
-
 def _tape_order(loss: Tensor) -> list[Tensor]:
     """Every node that loss depends on through the tape, parents before children."""
     topo: list[Tensor] = []
@@ -148,8 +120,8 @@ def _tape_order(loss: Tensor) -> list[Tensor]:
     return topo
 
 
-def backward(loss: Tensor) -> GradientStore:
-    """Propagate from a scalar loss; returns gradients for every leaf reached.
+def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """Propagate from a scalar loss; returns {leaf tensor: gradient} for every leaf reached.
 
     Gradients are zeroed and recomputed on entry, so calling backward twice
     on the same tape yields identical results.
@@ -163,8 +135,7 @@ def backward(loss: Tensor) -> GradientStore:
     for node in reversed(topo):
         if node._backward is not None:
             node._backward()
-    leaves = {node: node.grad for node in topo if node._backward is None}
-    return GradientStore(leaves)
+    return {node: node.grad for node in topo if node._backward is None}
 
 
 def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
@@ -382,37 +353,6 @@ def select(x, index: int) -> Tensor:
             x.grad.reshape(-1)[index] += float(grad)
 
         _attach(out, "select", (x,), _backward, lambda a: select(a, index))
-    return out
-
-
-def reduce_sum(x) -> Tensor:
-    """Sum of all elements as a scalar node."""
-    x = _as_tensor(x)
-    out = Tensor(x.data.sum())
-    if _recording((x,)):
-
-        def _backward(grad: np.ndarray) -> None:
-            x.grad += grad
-
-        _attach(out, "reduce_sum", (x,), _backward, reduce_sum)
-    return out
-
-
-def multiply(a, b) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"multiply: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data * b.data)
-    if _recording((a, b)):
-
-        def _backward(grad: np.ndarray) -> None:
-            if a.requires_grad:
-                a.grad += grad * b.data
-            if b.requires_grad:
-                b.grad += grad * a.data
-
-        _attach(out, "multiply", (a, b), _backward, multiply)
     return out
 
 

@@ -31,6 +31,11 @@ _SPLIT_STREAM = 0x5B17
 # which would skew the noise statistics the classifier keys on).
 NOISE_AMPLITUDE = 75.0
 
+# Largest image side a face or a model input may have. A side this large
+# already needs about 25 MB per float64 RGB image; a much larger one only
+# ends in a failed allocation deep inside numpy.
+MAX_RESOLUTION = 1024
+
 LAMBDA_MIN = 0.25
 LAMBDA_MAX = 0.75
 
@@ -75,8 +80,8 @@ class DatasetSplit:
 
 def generate_face(seed: int, index: int, resolution: int = 64) -> LabeledImage:
     """Deterministic synthetic face: all geometry and tones are LCG draws."""
-    if resolution < 8:
-        raise DataError(f"face resolution must be >= 8, got {resolution}")
+    if not 8 <= resolution <= MAX_RESOLUTION:
+        raise DataError(f"face resolution must be in [8, {MAX_RESOLUTION}], got {resolution}")
     rng = Lcg(derive_seed(seed, _FACE_STREAM, index))
     res = resolution
     yy, xx = np.mgrid[0:res, 0:res].astype(np.float64)

@@ -35,7 +35,7 @@ from .errors import (
     LayerIndexError,
     ResolutionMismatchError,
 )
-from .model import CnnModel, DenseLayer, DropoutLayer, GapLayer
+from .model import CnnModel, DenseLayer, DropoutLayer, GapLayer, single_image
 from .resample import bilinear_resize
 
 METHODS = ("saliency", "cam", "gradcam", "ensemble")
@@ -93,18 +93,6 @@ def _check_class(target_class: int) -> None:
         raise ExplainError(f"target class must be 0 or 1, got {target_class}")
 
 
-def _image_array(image, model: CnnModel) -> np.ndarray:
-    array = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
-    if array.ndim == 3:
-        array = array[None]
-    if array.ndim != 4 or array.shape[0] != 1:
-        raise ResolutionMismatchError(f"explanations take one (C, H, W) image, got shape {array.shape}")
-    res = model.input_resolution
-    if array.shape[2:] != (res, res):
-        raise ResolutionMismatchError(f"image is {array.shape[2]}x{array.shape[3]}, model expects {res}x{res}")
-    return array
-
-
 def _gap_head(model: CnnModel) -> DenseLayer:
     layers = model.layers
     if (
@@ -120,7 +108,7 @@ def _gap_head(model: CnnModel) -> DenseLayer:
 def saliency_map(model: CnnModel, image, target_class: int) -> Heatmap:
     """Max over input channels of the absolute score gradient at each pixel."""
     _check_class(target_class)
-    x = Tensor(_image_array(image, model), requires_grad=True)
+    x = Tensor(single_image(image), requires_grad=True)
     logits, _ = model.forward(x, train=False)
     backward(select(logits, target_class))
     values = np.abs(x.grad[0]).max(axis=0)
@@ -135,7 +123,7 @@ def cam(model: CnnModel, image, target_class: int) -> Heatmap:
     """
     _check_class(target_class)
     head = _gap_head(model)
-    x = Tensor(_image_array(image, model))
+    x = Tensor(single_image(image))
     with no_grad():
         logits, activations = model.forward(x, train=False)
     feature_maps = activations[len(model.layers) - 3].data[0]  # (K, h, w), the pool's input
@@ -172,7 +160,7 @@ def gradcam(
     block = blocks - 1 if target_block is None else target_block
     if not 0 <= block < blocks:
         raise LayerIndexError(f"target block {block} is not a conv block (valid 0..{blocks - 1})")
-    x = Tensor(_image_array(image, model))
+    x = Tensor(single_image(image))
     logits, activations = model.forward(x, train=False)
     feature = activations[model.conv_feature_index(block)]
     backward(select(logits, target_class))

@@ -108,24 +108,6 @@ def compute_metrics(counts: ConfusionCounts) -> MetricsReport:
     )
 
 
-def identity_check(report: MetricsReport, tolerance: float = 1e-12) -> bool:
-    """Cross-check the report's internal identities where defined:
-
-    recall + apcer == 1, hter == (apcer + bpcer) / 2, f1 == 2pr / (p + r).
-    """
-    if report.recall is not None and report.apcer is not None:
-        if abs(report.recall + report.apcer - 1.0) > tolerance:
-            return False
-    if report.hter is not None:
-        if abs(report.hter - hter_from_rates(report.apcer, report.bpcer)) > tolerance:
-            return False
-    if report.f1 is not None:
-        p, r = report.precision, report.recall
-        if abs(report.f1 - 2.0 * p * r / (p + r)) > tolerance:
-            return False
-    return True
-
-
 def format_report(report: MetricsReport) -> str:
     """Flat metric=value text; undefined metrics print the word undefined."""
     lines = [

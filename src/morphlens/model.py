@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff
-from .autodiff import GradientStore, Tensor, backward, no_grad, softmax_cross_entropy
-from .data import NOISE_AMPLITUDE, LabeledImage, preprocess
+from .autodiff import Tensor, backward, no_grad, softmax_cross_entropy
+from .data import MAX_RESOLUTION, NOISE_AMPLITUDE, LabeledImage, preprocess
 from .errors import (
     ArchitectureError,
     DataError,
@@ -64,18 +64,27 @@ def _round_half_up(value: float) -> int:
 
 @dataclass(frozen=True)
 class ScalingPlan:
-    """Resolved compound-scaling multipliers plus the base dimensions."""
+    """Compound-scaling exponent and coefficients plus the base dimensions."""
 
     phi: float
     alpha: float
     beta: float
     gamma: float
-    depth_mult: float
-    width_mult: float
-    resolution_mult: float
     base_depth: int
     base_width: int
     base_resolution: int
+
+    @property
+    def depth_mult(self) -> float:
+        return self.alpha**self.phi
+
+    @property
+    def width_mult(self) -> float:
+        return self.beta**self.phi
+
+    @property
+    def resolution_mult(self) -> float:
+        return self.gamma**self.phi
 
 
 def plan_scaling(
@@ -111,9 +120,6 @@ def plan_scaling(
         alpha=float(alpha),
         beta=float(beta),
         gamma=float(gamma),
-        depth_mult=float(alpha) ** phi,
-        width_mult=float(beta) ** phi,
-        resolution_mult=float(gamma) ** phi,
         base_depth=int(base_depth),
         base_width=int(base_width),
         base_resolution=int(base_resolution),
@@ -316,6 +322,10 @@ def build_model(plan: ScalingPlan, seed: int) -> CnnModel:
     resolution = 4 * _round_half_up(raw_resolution / 4.0)
     if resolution < 8:
         raise PlanConstraintError(f"scaled input resolution {resolution} is below the 8-pixel minimum")
+    if resolution > MAX_RESOLUTION:
+        raise PlanConstraintError(
+            f"scaled input resolution {resolution} is above the {MAX_RESOLUTION}-pixel maximum"
+        )
     depth = _round_half_up(plan.base_depth * plan.depth_mult)
     widths = [_round_half_up(plan.base_width * plan.width_mult * 2**stage) for stage in range(depth)]
     rng = Lcg(derive_seed(seed, _INIT_STREAM))
@@ -378,15 +388,20 @@ class Prediction:
     predicted_class: int
 
 
-def predict(model: CnnModel, image) -> Prediction:
-    """Class scores, softmax probabilities, and the argmax (ties -> bona fide)."""
+def single_image(image) -> np.ndarray:
+    """One (C, H, W) image, or a batch of one, as a float64 (1, C, H, W) array."""
     array = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
     if array.ndim == 3:
         array = array[None]
     if array.ndim != 4 or array.shape[0] != 1:
-        raise ResolutionMismatchError(f"predict expects one (C, H, W) image, got shape {array.shape}")
+        raise ResolutionMismatchError(f"expected one (C, H, W) image, got shape {array.shape}")
+    return array
+
+
+def predict(model: CnnModel, image) -> Prediction:
+    """Class scores, softmax probabilities, and the argmax (ties -> bona fide)."""
     with no_grad():
-        logits, _ = model.forward(Tensor(array))
+        logits, _ = model.forward(Tensor(single_image(image)))
     scores = logits.data[0].copy()
     shifted = np.exp(scores - scores.max())
     probabilities = shifted / shifted.sum()
@@ -568,21 +583,22 @@ class ClassificationObjective:
         return self.model.parameters()
 
 
-_SIDECAR_FIELDS = ("phi", "alpha", "beta", "gamma", "base_depth", "base_width", "base_resolution", "seed")
+# Sidecar keys in file order, each with the type its value parses as.
+_SIDECAR_FIELDS = {
+    "phi": float,
+    "alpha": float,
+    "beta": float,
+    "gamma": float,
+    "base_depth": int,
+    "base_width": int,
+    "base_resolution": int,
+    "seed": int,
+}
 
 
 def save_plan_sidecar(path, plan: ScalingPlan, seed: int) -> None:
     """Write the key=value sidecar that lets a checkpoint rebuild its model."""
-    values = {
-        "phi": repr(plan.phi),
-        "alpha": repr(plan.alpha),
-        "beta": repr(plan.beta),
-        "gamma": repr(plan.gamma),
-        "base_depth": str(plan.base_depth),
-        "base_width": str(plan.base_width),
-        "base_resolution": str(plan.base_resolution),
-        "seed": str(seed),
-    }
+    values = {**asdict(plan), "seed": seed}
     lines = [f"{key}={values[key]}" for key in _SIDECAR_FIELDS]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
@@ -604,26 +620,8 @@ def load_plan_sidecar(path) -> tuple[ScalingPlan, int]:
     if missing:
         raise FormatError(f"sidecar is missing keys: {', '.join(missing)}")
     try:
-        phi = float(values["phi"])
-        alpha = float(values["alpha"])
-        beta = float(values["beta"])
-        gamma = float(values["gamma"])
-        base_depth = int(values["base_depth"])
-        base_width = int(values["base_width"])
-        base_resolution = int(values["base_resolution"])
-        seed = int(values["seed"])
+        parsed = {key: kind(values[key]) for key, kind in _SIDECAR_FIELDS.items()}
     except ValueError as exc:
         raise FormatError(f"sidecar has a malformed value: {exc}") from None
-    plan = ScalingPlan(
-        phi=phi,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        depth_mult=alpha**phi,
-        width_mult=beta**phi,
-        resolution_mult=gamma**phi,
-        base_depth=base_depth,
-        base_width=base_width,
-        base_resolution=base_resolution,
-    )
-    return plan, seed
+    seed = parsed.pop("seed")
+    return ScalingPlan(**parsed), seed

@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from morphlens.autodiff import (
-    GradientStore,
     Tensor,
+    _as_tensor,
+    _attach,
+    _recording,
     backward,
     conv2d,
     dense,
     dropout,
     global_average_pool,
     gradient_check,
-    multiply,
     no_grad,
-    reduce_sum,
     relu,
     select,
     softmax_cross_entropy,
@@ -29,6 +29,42 @@ from morphlens.rng import Lcg
 
 def leaf(values):
     return Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
+
+
+# Two small taped ops that only the tests need: they turn an op's output into
+# a scalar loss with a chosen upstream gradient. Each reruns as itself, so
+# gradient_check can replay tapes that end in them.
+
+
+def reduce_sum(x) -> Tensor:
+    """Sum of all elements as a scalar node."""
+    x = _as_tensor(x)
+    out = Tensor(x.data.sum())
+    if _recording((x,)):
+
+        def _backward(grad: np.ndarray) -> None:
+            x.grad += grad
+
+        _attach(out, "reduce_sum", (x,), _backward, reduce_sum)
+    return out
+
+
+def multiply(a, b) -> Tensor:
+    """Elementwise product of same-shape tensors."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"multiply: shapes {a.shape} and {b.shape} differ")
+    out = Tensor(a.data * b.data)
+    if _recording((a, b)):
+
+        def _backward(grad: np.ndarray) -> None:
+            if a.requires_grad:
+                a.grad += grad * b.data
+            if b.requires_grad:
+                b.grad += grad * a.data
+
+        _attach(out, "multiply", (a, b), _backward, multiply)
+    return out
 
 
 # conv2d

@@ -73,6 +73,14 @@ def test_gen_data_rejects_infeasible_morph_count(capsys):
     assert "pairs" in err
 
 
+def test_gen_data_rejects_a_huge_resolution_in_one_error_line(capsys):
+    code, out, err = run(capsys, "gen-data", "--config", "run.cfg", "--base-resolution", "100000000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "1024" in err
+
+
 # train
 
 
@@ -153,6 +161,16 @@ def test_train_rejects_non_finite_phi_in_one_error_line(capsys, phi):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "phi must be finite" in err
+    assert not Path("model.ckpt").exists()
+
+
+def test_train_rejects_a_huge_resolution_in_one_error_line(capsys):
+    run_chain(capsys, "gen-data")
+    code, out, err = run(capsys, "train", "--config", "run.cfg", "--base-resolution", "100000000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "1024-pixel maximum" in err
     assert not Path("model.ckpt").exists()
 
 

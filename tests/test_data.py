@@ -6,6 +6,7 @@ import pytest
 from morphlens.data import (
     LAMBDA_MAX,
     LAMBDA_MIN,
+    MAX_RESOLUTION,
     DatasetSplit,
     LabeledImage,
     Provenance,
@@ -52,6 +53,11 @@ def test_generate_face_contract():
     assert face.image.pixels.dtype == np.uint8
     with pytest.raises(DataError):
         generate_face(1, 0, 7)
+
+
+def test_generate_face_rejects_a_side_above_the_cap():
+    with pytest.raises(DataError, match=str(MAX_RESOLUTION)):
+        generate_face(1, 0, MAX_RESOLUTION + 1)
 
 
 def test_generate_face_has_structure():

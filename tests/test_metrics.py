@@ -11,7 +11,6 @@ from morphlens.metrics import (
     confusion,
     format_report,
     hter_from_rates,
-    identity_check,
     parse_report,
 )
 
@@ -199,6 +198,24 @@ def test_undefined_is_never_reported_as_zero():
 
 
 # identity_check
+
+
+def identity_check(report: MetricsReport, tolerance: float = 1e-12) -> bool:
+    """Cross-check the report's internal identities where defined:
+
+    recall + apcer == 1, hter == (apcer + bpcer) / 2, f1 == 2pr / (p + r).
+    """
+    if report.recall is not None and report.apcer is not None:
+        if abs(report.recall + report.apcer - 1.0) > tolerance:
+            return False
+    if report.hter is not None:
+        if abs(report.hter - hter_from_rates(report.apcer, report.bpcer)) > tolerance:
+            return False
+    if report.f1 is not None:
+        p, r = report.precision, report.recall
+        if abs(report.f1 - 2.0 * p * r / (p + r)) > tolerance:
+            return False
+    return True
 
 
 def test_identity_check_accepts_computed_reports():

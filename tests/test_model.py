@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morphlens.checkpoint import decode_params, encode_params
-from morphlens.data import build_corpus, generate_face, preprocess, split
+from morphlens.data import MAX_RESOLUTION, build_corpus, generate_face, preprocess, split
 from morphlens.errors import (
     DataError,
     FormatError,
@@ -128,6 +128,12 @@ def test_build_resolution_multiple_of_four_and_minimum():
     assert build_model(tiny, 1).input_resolution == 8
     with pytest.raises(PlanConstraintError):
         build_model(plan_scaling(0.0, base_resolution=2), 1)
+
+
+def test_build_resolution_maximum():
+    assert build_model(plan_scaling(0.0, base_resolution=MAX_RESOLUTION), 1).input_resolution == MAX_RESOLUTION
+    with pytest.raises(PlanConstraintError, match="maximum"):
+        build_model(plan_scaling(0.0, base_resolution=MAX_RESOLUTION + 4), 1)
 
 
 def test_first_stage_kernels_ignore_tone_and_ramps():
@@ -342,6 +348,20 @@ def test_sidecar_round_trip(tmp_path):
     rebuilt = build_model(loaded, seed)
     original = build_model(plan, 42)
     assert encode_params(named_arrays(rebuilt)) == encode_params(named_arrays(original))
+
+
+def test_sidecar_bytes_and_derived_multipliers(tmp_path):
+    plan = plan_scaling(1.0)
+    path = tmp_path / "model.ckpt.plan"
+    save_plan_sidecar(path, plan, 42)
+    assert path.read_bytes() == (
+        b"phi=1.0\nalpha=1.2\nbeta=1.1\ngamma=1.15\n"
+        b"base_depth=2\nbase_width=8\nbase_resolution=64\nseed=42\n"
+    )
+    loaded, _ = load_plan_sidecar(path)
+    multipliers = (loaded.depth_mult, loaded.width_mult, loaded.resolution_mult)
+    expected = (plan.depth_mult, plan.width_mult, plan.resolution_mult)
+    assert [m.hex() for m in multipliers] == [m.hex() for m in expected]
 
 
 def test_sidecar_errors(tmp_path):
