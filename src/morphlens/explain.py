@@ -12,6 +12,9 @@ that produced them and the class they explain.
   combination equals cam / (H * W), since pooling spreads the head weights
   uniformly over the grid.
 
+All three read one forward and one backward of the class score; explain_all
+returns them together from a single such pass.
+
 The ensemble takes normalized same-size maps, forms a convex combination,
 re-normalizes, and concatenates the flattened inputs (gradcam, cam,
 saliency) into one feature vector.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from pathlib import Path
 
-from .autodiff import Tensor, backward, no_grad, select
+from .autodiff import Tensor, backward, select
 from .errors import (
     ArchitectureError,
     ExplainError,
@@ -105,28 +108,36 @@ def _gap_head(model: CnnModel) -> DenseLayer:
     return layers[-1]
 
 
-def saliency_map(model: CnnModel, image, target_class: int) -> Heatmap:
-    """Max over input channels of the absolute score gradient at each pixel."""
-    _check_class(target_class)
+def _feature_index(model: CnnModel, target_block: int | None) -> int:
+    """Activation index of a conv block's post-activation maps (default: the last block)."""
+    blocks = model.conv_blocks()
+    if blocks == 0:
+        raise LayerIndexError("model has no conv blocks to target")
+    block = blocks - 1 if target_block is None else target_block
+    if not 0 <= block < blocks:
+        raise LayerIndexError(f"target block {block} is not a conv block (valid 0..{blocks - 1})")
+    return model.conv_feature_index(block)
+
+
+def _explained_pass(model: CnnModel, image, target_class: int) -> tuple[Tensor, list[Tensor]]:
+    """One forward with the input on the tape, then one backward of the class score.
+
+    Returns (logits, activations); activations[0] is the input, and every
+    tensor on the tape holds its gradient of the class score.
+    """
     x = Tensor(single_image(image), requires_grad=True)
-    logits, _ = model.forward(x, train=False)
+    logits, activations = model.forward(x, train=False)
     backward(select(logits, target_class))
-    values = np.abs(x.grad[0]).max(axis=0)
+    return logits, activations
+
+
+def _saliency(activations: list[Tensor], target_class: int) -> Heatmap:
+    values = np.abs(activations[0].grad[0]).max(axis=0)
     return Heatmap(values, "saliency", normalized=False, target_class=target_class)
 
 
-def cam(model: CnnModel, image, target_class: int) -> Heatmap:
-    """Head-weight combination of the maps entering global average pooling.
-
-    Also asserts the defining identity: mean(map) + class bias equals the
-    logit the forward pass computed, to within 1e-9.
-    """
-    _check_class(target_class)
-    head = _gap_head(model)
-    x = Tensor(single_image(image))
-    with no_grad():
-        logits, activations = model.forward(x, train=False)
-    feature_maps = activations[len(model.layers) - 3].data[0]  # (K, h, w), the pool's input
+def _cam(head: DenseLayer, logits: Tensor, activations: list[Tensor], target_class: int) -> Heatmap:
+    feature_maps = activations[-4].data[0]  # (K, h, w), the pool's input
     if feature_maps.ndim != 3:
         raise ArchitectureError(f"pooled features must be spatial maps, got shape {feature_maps.shape}")
     column = head.weights.data[:, target_class]
@@ -138,6 +149,51 @@ def cam(model: CnnModel, image, target_class: int) -> Heatmap:
             f"map/score identity violated: mean(map) + bias = {from_map!r} but logit = {direct!r}"
         )
     return Heatmap(values, "cam", normalized=False, target_class=target_class)
+
+
+def _gradcam(feature: Tensor, target_class: int, apply_relu: bool) -> tuple[Heatmap, ImportanceWeights]:
+    importance = feature.grad[0].mean(axis=(1, 2))
+    combination = np.tensordot(importance, feature.data[0], axes=([0], [0]))
+    values = np.maximum(combination, 0.0) if apply_relu else combination
+    return (
+        Heatmap(values, "gradcam", normalized=False, target_class=target_class),
+        ImportanceWeights(importance, target_class),
+    )
+
+
+def explain_all(model: CnnModel, image, target_class: int) -> tuple[Heatmap, Heatmap, Heatmap]:
+    """(saliency, cam, gradcam at the last block) from one forward and one backward.
+
+    Each map equals the one its own function returns, bit for bit.
+    """
+    _check_class(target_class)
+    head = _gap_head(model)
+    feature = _feature_index(model, None)
+    logits, activations = _explained_pass(model, image, target_class)
+    return (
+        _saliency(activations, target_class),
+        _cam(head, logits, activations, target_class),
+        _gradcam(activations[feature], target_class, apply_relu=True)[0],
+    )
+
+
+def saliency_map(model: CnnModel, image, target_class: int) -> Heatmap:
+    """Max over input channels of the absolute score gradient at each pixel."""
+    _check_class(target_class)
+    _, activations = _explained_pass(model, image, target_class)
+    return _saliency(activations, target_class)
+
+
+def cam(model: CnnModel, image, target_class: int) -> Heatmap:
+    """Head-weight combination of the maps entering global average pooling.
+
+    Also asserts the defining identity: mean(map) + class bias equals the
+    logit the forward pass computed, to within 1e-9.
+    """
+    _check_class(target_class)
+    head = _gap_head(model)
+    logits, activations = _explained_pass(model, image, target_class)
+    return _cam(head, logits, activations, target_class)
 
 
 def gradcam(
@@ -154,26 +210,9 @@ def gradcam(
     at the last block equals cam / (map cells).
     """
     _check_class(target_class)
-    blocks = model.conv_blocks()
-    if blocks == 0:
-        raise LayerIndexError("model has no conv blocks to target")
-    block = blocks - 1 if target_block is None else target_block
-    if not 0 <= block < blocks:
-        raise LayerIndexError(f"target block {block} is not a conv block (valid 0..{blocks - 1})")
-    x = Tensor(single_image(image))
-    logits, activations = model.forward(x, train=False)
-    feature = activations[model.conv_feature_index(block)]
-    backward(select(logits, target_class))
-    if feature.grad is None:
-        raise ExplainError("target block did not receive a gradient")
-    grads = feature.grad[0]
-    importance = grads.mean(axis=(1, 2))
-    combination = np.tensordot(importance, feature.data[0], axes=([0], [0]))
-    values = np.maximum(combination, 0.0) if apply_relu else combination
-    return (
-        Heatmap(values, "gradcam", normalized=False, target_class=target_class),
-        ImportanceWeights(importance, target_class),
-    )
+    feature = _feature_index(model, target_block)
+    _, activations = _explained_pass(model, image, target_class)
+    return _gradcam(activations[feature], target_class, apply_relu)
 
 
 def _normalize_values(values: np.ndarray) -> np.ndarray:

@@ -100,7 +100,8 @@ def plan_scaling(
     """Derive depth/width/resolution multipliers alpha^phi, beta^phi, gamma^phi.
 
     The coefficients must satisfy alpha * beta^2 * gamma^2 in [2 - tau, 2 + tau]
-    so one step of phi roughly doubles the model's cost.
+    so one step of phi roughly doubles the model's cost, and no multiplier may
+    overflow a float.
     """
     if not (math.isfinite(phi) and phi >= 0):
         raise PlanConstraintError(f"phi must be finite and >= 0, got {phi}")
@@ -115,7 +116,7 @@ def plan_scaling(
         raise PlanConstraintError(
             f"alpha * beta^2 * gamma^2 = {product!r} outside [{2.0 - tau!r}, {2.0 + tau!r}]"
         )
-    return ScalingPlan(
+    plan = ScalingPlan(
         phi=float(phi),
         alpha=float(alpha),
         beta=float(beta),
@@ -124,6 +125,11 @@ def plan_scaling(
         base_width=int(base_width),
         base_resolution=int(base_resolution),
     )
+    try:
+        plan.depth_mult, plan.width_mult, plan.resolution_mult
+    except OverflowError:
+        raise PlanConstraintError(f"phi = {plan.phi!r} overflows alpha^phi, beta^phi or gamma^phi") from None
+    return plan
 
 
 class ConvLayer:
@@ -308,15 +314,11 @@ def _zero_sum_kernel(in_channels: int, rms: float, rng: Lcg) -> np.ndarray:
             return v * (rms / scale)
 
 
-def build_model(plan: ScalingPlan, seed: int) -> CnnModel:
-    """Deterministically construct and initialize the planned architecture.
+def model_shapes(plan: ScalingPlan, seed: int) -> CnnModel:
+    """The planned architecture with every parameter zero and no draws made.
 
-    Initialization is structured, not generic noise: stage 0 gets thresholded
-    contrast probes, stage 1 mixes zero-sum kernels with "absence" kernels
-    (see the module constants), and deeper stages use plain zero-sum kernels.
-    The dense head starts at zero, so an untrained model scores every input
-    [0.5, 0.5]. All draws come from one seed-derived stream, so the same
-    (plan, seed) rebuilds byte-identical parameters.
+    A checkpoint load fills it through load_parameters; build_model fills it
+    from the seed's init stream.
     """
     raw_resolution = _round_half_up(plan.base_resolution * plan.resolution_mult)
     resolution = 4 * _round_half_up(raw_resolution / 4.0)
@@ -328,17 +330,53 @@ def build_model(plan: ScalingPlan, seed: int) -> CnnModel:
         )
     depth = _round_half_up(plan.base_depth * plan.depth_mult)
     widths = [_round_half_up(plan.base_width * plan.width_mult * 2**stage) for stage in range(depth)]
+    layers: list = []
+    in_channels = 3
+    for stage, width in enumerate(widths):
+        layers.append(
+            ConvLayer(
+                f"conv{stage}",
+                Tensor(np.zeros((width, in_channels, KERNEL_SIZE, KERNEL_SIZE)), requires_grad=True),
+                Tensor(np.zeros(width), requires_grad=True),
+                CONV_STRIDE,
+                CONV_PADDING,
+            )
+        )
+        layers.append(ReluLayer())
+        in_channels = width
+    layers.append(GapLayer())
+    layers.append(DropoutLayer(DROPOUT_RATE))
+    layers.append(
+        DenseLayer(
+            "head",
+            Tensor(np.zeros((in_channels, NUM_CLASSES)), requires_grad=True),
+            Tensor(np.zeros(NUM_CLASSES), requires_grad=True),
+        )
+    )
+    return CnnModel(layers, plan, resolution, seed)
+
+
+def build_model(plan: ScalingPlan, seed: int) -> CnnModel:
+    """Deterministically construct and initialize the planned architecture.
+
+    Initialization is structured, not generic noise: stage 0 gets thresholded
+    contrast probes, stage 1 mixes zero-sum kernels with "absence" kernels
+    (see the module constants), and deeper stages use plain zero-sum kernels.
+    The dense head starts at zero, so an untrained model scores every input
+    [0.5, 0.5]. All draws come from one seed-derived stream, so the same
+    (plan, seed) rebuilds byte-identical parameters.
+    """
+    model = model_shapes(plan, seed)
     rng = Lcg(derive_seed(seed, _INIT_STREAM))
     window = KERNEL_SIZE * KERNEL_SIZE
     # Per-channel std of the generator's pixel noise after the /255 preprocess.
     pixel_std = NOISE_AMPLITUDE / (255.0 * math.sqrt(3.0))
     probe_response = 0.0
-    layers: list = []
-    in_channels = 3
-    for stage, width in enumerate(widths):
+    convs = [layer for layer in model.layers if layer.kind == "conv"]
+    for stage, layer in enumerate(convs):
+        kernels, bias = layer.kernels.data, layer.bias.data
+        width, in_channels = kernels.shape[:2]
         scale = _PROBE_GAIN * math.sqrt(2.0 / (in_channels * window))
-        kernels = np.zeros((width, in_channels, KERNEL_SIZE, KERNEL_SIZE))
-        bias = np.zeros(width)
         if stage == 0:
             # One pattern shared by every input channel; the noise is shared
             # across channels too, so the pre-activation std has a closed form.
@@ -358,27 +396,7 @@ def build_model(plan: ScalingPlan, seed: int) -> CnnModel:
                     mix *= in_channels / mix.sum()
                     kernels[f] = (mix * (-strength / window))[:, None, None]
                     bias[f] = _ABSENCE_MARGIN * strength * in_channels * probe_response
-        layers.append(
-            ConvLayer(
-                f"conv{stage}",
-                Tensor(kernels, requires_grad=True),
-                Tensor(bias, requires_grad=True),
-                CONV_STRIDE,
-                CONV_PADDING,
-            )
-        )
-        layers.append(ReluLayer())
-        in_channels = width
-    layers.append(GapLayer())
-    layers.append(DropoutLayer(DROPOUT_RATE))
-    layers.append(
-        DenseLayer(
-            "head",
-            Tensor(np.zeros((in_channels, NUM_CLASSES)), requires_grad=True),
-            Tensor(np.zeros(NUM_CLASSES), requires_grad=True),
-        )
-    )
-    return CnnModel(layers, plan, resolution, seed)
+    return model
 
 
 @dataclass(frozen=True, eq=False)
@@ -554,15 +572,12 @@ def dump_layer_activations(model: CnnModel, image, layer_index: int) -> tuple[Te
     Index 0 is the preprocessed input itself; index i > 0 is the output of
     layer i - 1 in the model's layer list.
     """
-    array = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
-    if array.ndim == 3:
-        array = array[None]
     if not 0 <= layer_index <= len(model.layers):
         raise LayerIndexError(
             f"layer index {layer_index} out of range (valid 0..{len(model.layers)})"
         )
     with no_grad():
-        _, activations = model.forward(Tensor(array))
+        _, activations = model.forward(Tensor(single_image(image)))
     activation = activations[layer_index]
     return activation, _activation_grid(activation.data)
 

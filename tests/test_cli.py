@@ -5,10 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from morphlens import cli, explain
 from morphlens.checkpoint import decode_params, encode_params
 from morphlens.cli import main
+from morphlens.config import CONFIG_KEYS, RunConfig
 from morphlens.explain import decode_feature_vector
 from morphlens.metrics import parse_report
+from morphlens.model import CnnModel, build_model, load_plan_sidecar
+from morphlens.rng import Lcg
 from morphlens.viz import decode_pgm
 
 SMALL_CONFIG = """\
@@ -164,6 +168,18 @@ def test_train_rejects_non_finite_phi_in_one_error_line(capsys, phi):
     assert not Path("model.ckpt").exists()
 
 
+@pytest.mark.parametrize("phi", ["10000", "1e300"])
+def test_train_rejects_an_overflowing_phi_in_one_error_line(capsys, phi):
+    run_chain(capsys, "gen-data")
+    code, out, err = run(capsys, "train", "--config", "run.cfg", "--phi", phi)
+    assert code == 1
+    assert out == ""
+    assert len(error_lines(err)) == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "overflows" in err
+    assert not Path("model.ckpt").exists()
+
+
 def test_train_rejects_a_huge_resolution_in_one_error_line(capsys):
     run_chain(capsys, "gen-data")
     code, out, err = run(capsys, "train", "--config", "run.cfg", "--base-resolution", "100000000")
@@ -278,6 +294,48 @@ def test_explain_rejects_non_finite_weights_in_one_error_line(capsys):
     assert "ensemble weights must be finite" in err
 
 
+def test_explain_runs_one_forward_and_one_backward(capsys, monkeypatch):
+    image = run_chain(capsys, "gen-data", "train")
+    calls = {"forward": 0, "backward": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(CnnModel, "forward", counting("forward", CnnModel.forward))
+    monkeypatch.setattr(explain, "backward", counting("backward", explain.backward))
+    code, _, err = run(capsys, "explain", "--config", "run.cfg", "--image", str(image))
+    assert code == 0, err
+    assert calls == {"forward": 1, "backward": 1}
+
+
+def refuse_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew from the LCG")
+
+    for name in ("next_u32", "normal_array", "uniform"):
+        monkeypatch.setattr(Lcg, name, refuse)
+
+
+def test_loading_a_checkpoint_draws_nothing_and_rebuilds_the_trained_model(capsys, monkeypatch):
+    image = run_chain(capsys, "gen-data", "train")
+    plan, seed = load_plan_sidecar("model.ckpt.plan")
+    fingerprint = build_model(plan, seed).fingerprint
+    saved = decode_params(Path("model.ckpt").read_bytes())
+    refuse_draws(monkeypatch)
+    model, loaded_seed = cli._load_model(RunConfig())
+    assert loaded_seed == seed
+    assert model.fingerprint == fingerprint
+    assert [(name, tensor.data.tobytes()) for name, tensor in model.parameters()] == [
+        (name, values.tobytes()) for name, values in saved
+    ]
+    code, _, err = run(capsys, "explain", "--config", "run.cfg", "--image", str(image))
+    assert code == 0, err
+
+
 def test_explain_missing_image(capsys):
     run_chain(capsys, "gen-data", "train")
     code, _, err = run(capsys, "explain", "--config", "run.cfg", "--image", "ghost.ppm")
@@ -313,6 +371,37 @@ def test_dump_layer_rejects_bad_index(capsys):
     )
     assert code == 1
     assert err.startswith("error:")
+
+
+# the shared config flags
+
+COMMANDS = {
+    "gen-data": [],
+    "train": [],
+    "eval": [],
+    "explain": ["--image", "a.ppm"],
+    "dump-layer": ["--image", "a.ppm", "--layer-index", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_takes_config_and_every_config_flag(command):
+    flags = [f"--{key.replace('_', '-')}" for key in CONFIG_KEYS]
+    argv = [command, *COMMANDS[command], "--config", "run.cfg"]
+    for k, flag in enumerate(flags):
+        argv += [flag, f"v{k}"]
+    ns = cli.build_parser().parse_args(argv)
+    assert ns.command == command
+    assert ns.config == "run.cfg"
+    assert [getattr(ns, f"opt_{key}") for key in CONFIG_KEYS] == [f"v{k}" for k in range(len(flags))]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_exits_2_on_an_unknown_flag(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, *COMMANDS[command], "--no-such-flag"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
 
 
 # config precedence and env seed

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from morphlens.autodiff import Tensor
+from morphlens.autodiff import Tensor, backward, no_grad, select
 from morphlens.errors import (
     ArchitectureError,
     ExplainError,
@@ -20,6 +20,7 @@ from morphlens.explain import (
     encode_feature_vector,
     encode_heatmap,
     ensemble,
+    explain_all,
     gradcam,
     normalize_map,
     read_heatmap,
@@ -365,6 +366,81 @@ def test_gradcam_rejects_bad_blocks():
     headless = linear_model(np.zeros((2, 2)), np.zeros(2), channels=2, resolution=2)
     with pytest.raises(LayerIndexError):
         gradcam(headless, np.zeros((2, 2, 2)), target_class=0)
+
+
+# explain_all: one pass for the three maps
+
+
+def randomized_model(phi, seed, scale=0.3):
+    """Default-scaled architecture at phi with every parameter drawn uniformly."""
+    model = build_model(plan_scaling(phi), seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, tensor in model.parameters():
+        tensor.data = rng.uniform(-scale, scale, size=tensor.data.shape)
+    image = rng.uniform(0.0, 1.0, size=(3, model.input_resolution, model.input_resolution))
+    return model, image
+
+
+def three_pass_maps(model, image, target_class):
+    """The maps as three separate passes compute them: a saliency pass, a
+    no-grad forward for cam, and a gradcam pass with the input off the tape."""
+    x = Tensor(image[None], requires_grad=True)
+    logits, _ = model.forward(x)
+    backward(select(logits, target_class))
+    saliency = np.abs(x.grad[0]).max(axis=0)
+    with no_grad():
+        _, activations = model.forward(Tensor(image[None]))
+    column = model.layers[-1].weights.data[:, target_class]
+    cam_values = np.tensordot(column, activations[-4].data[0], axes=([0], [0]))
+    logits, activations = model.forward(Tensor(image[None]))
+    feature = activations[model.conv_feature_index(model.conv_blocks() - 1)]
+    backward(select(logits, target_class))
+    importance = feature.grad[0].mean(axis=(1, 2))
+    gradcam_values = np.maximum(np.tensordot(importance, feature.data[0], axes=([0], [0])), 0.0)
+    return saliency, cam_values, gradcam_values
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.0])
+@pytest.mark.parametrize("target_class", [0, 1])
+def test_explain_all_equals_the_separate_maps_bit_for_bit(phi, target_class):
+    model, image = randomized_model(phi, seed=21)
+    together = explain_all(model, image, target_class)
+    separate = (
+        saliency_map(model, image, target_class),
+        cam(model, image, target_class),
+        gradcam(model, image, target_class)[0],
+    )
+    reference = three_pass_maps(model, image, target_class)
+    for one, alone, values, method in zip(together, separate, reference, ("saliency", "cam", "gradcam")):
+        assert (one.method, one.target_class, one.normalized) == (method, target_class, False)
+        assert one.values.tobytes() == alone.values.tobytes()
+        assert one.values.tobytes() == values.tobytes()
+    assert together[0].values.any() and together[2].values.any()
+
+
+def test_explain_all_validates_like_the_separate_maps():
+    model = small_trained_like_model(seed=4)
+    with pytest.raises(ExplainError):
+        explain_all(model, small_image(4), target_class=2)
+    with pytest.raises(ResolutionMismatchError):
+        explain_all(model, small_image(4, resolution=16), target_class=0)
+    with pytest.raises(ResolutionMismatchError):
+        explain_all(model, np.zeros((2, 3, 8, 8)), target_class=0)
+    headless = linear_model(np.zeros((2, 2)), np.zeros(2), channels=2, resolution=2)
+    with pytest.raises(LayerIndexError):
+        explain_all(headless, np.zeros((2, 2, 2)), target_class=0)
+
+
+def test_explain_all_maps_follow_a_redrawn_last_block():
+    # Model-randomization sanity check: a map that ignores the weights it
+    # explains (or reads a stale buffer) would not move.
+    model, image = randomized_model(0.0, seed=8)
+    saliency, _, gradcam_map = explain_all(model, image, 1)
+    last = [layer for layer in model.layers if layer.kind == "conv"][-1]
+    last.kernels.data = np.random.default_rng(99).uniform(-0.3, 0.3, size=last.kernels.shape)
+    redrawn_saliency, _, redrawn_gradcam = explain_all(model, image, 1)
+    assert not np.array_equal(saliency.values, redrawn_saliency.values)
+    assert not np.array_equal(gradcam_map.values, redrawn_gradcam.values)
 
 
 # normalize_map

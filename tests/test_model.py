@@ -18,6 +18,7 @@ from morphlens.model import (
     build_model,
     dump_layer_activations,
     load_plan_sidecar,
+    model_shapes,
     plan_scaling,
     predict,
     save_plan_sidecar,
@@ -69,6 +70,17 @@ def test_plan_constraint_violation():
 def test_plan_rejects_non_finite_phi(phi):
     with pytest.raises(PlanConstraintError, match="finite"):
         plan_scaling(phi)
+
+
+@pytest.mark.parametrize("phi", [10000.0, 1e300])
+def test_plan_refuses_a_phi_whose_multipliers_overflow(phi):
+    with pytest.raises(PlanConstraintError, match="overflows"):
+        plan_scaling(phi)
+
+
+def test_plan_accepts_a_huge_phi_whose_multipliers_stay_finite():
+    plan = plan_scaling(1e300, alpha=1.0, beta=1.0, gamma=1.0, tau=1.0)
+    assert (plan.depth_mult, plan.width_mult, plan.resolution_mult) == (1.0, 1.0, 1.0)
 
 
 def test_plan_multipliers_exact_powers():
@@ -333,6 +345,30 @@ def test_dump_index_out_of_range():
         dump_layer_activations(model, x, len(model.layers) + 1)
     with pytest.raises(LayerIndexError):
         dump_layer_activations(model, x, -1)
+
+
+def test_dump_refuses_a_batch_of_two():
+    model = build_model(default_plan(), 1)
+    pair = np.stack([preprocess(generate_face(2, k, 64).image, 64) for k in (4, 5)])
+    with pytest.raises(ResolutionMismatchError):
+        dump_layer_activations(model, pair, 2)
+
+
+# model_shapes
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.0])
+def test_model_shapes_is_build_model_with_zero_parameters(phi):
+    plan = plan_scaling(phi)
+    shapes = model_shapes(plan, 5)
+    built = build_model(plan, 5)
+    assert shapes.fingerprint == built.fingerprint
+    assert shapes.input_resolution == built.input_resolution
+    assert [layer.describe() for layer in shapes.layers] == [layer.describe() for layer in built.layers]
+    assert not any(tensor.data.any() for _, tensor in shapes.parameters())
+    shapes.load_parameters(named_arrays(built))
+    for (_, a), (_, b) in zip(shapes.parameters(), built.parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 # sidecar + load_parameters
