@@ -14,7 +14,9 @@ tensors, with the op's other arguments fixed. gradient_check uses that to
 replay a recorded tape: a probe of one parameter reruns only the nodes
 downstream of it and reads every other value from the recording, the way
 ADOL-C re-evaluates a taped function at new inputs (Griewank & Walther,
-Evaluating Derivatives, 2008). Train-mode dropout records no rerun, since
+Evaluating Derivatives, 2008). A conv node rerun on its recorded input
+reuses the patch matrix its backward keeps, and the loss node reuses the
+labels it checked when recorded. Train-mode dropout records no rerun, since
 its mask comes from a generator; a tape holding one falls back to full
 network calls, as does a network that reads a parameter off the tape.
 """
@@ -179,9 +181,7 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
     )
     cols = windows.reshape(batch, c_in * k_h * k_w, out_h * out_w)
     flat_kernels = kernels.data.reshape(c_out, -1)
-    acc = (flat_kernels @ cols).reshape(batch, c_out, out_h, out_w)
-    acc += bias.data[None, :, None, None]
-    out = Tensor(acc)
+    out = _conv_gemm(cols, kernels, bias, out_h, out_w)
     if _recording((x, kernels, bias)):
 
         def _backward(grad: np.ndarray) -> None:
@@ -201,10 +201,22 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
                         ] += d_cols[:, :, ki, kj]
                 x.grad += grad_padded[:, :, padding : padding + height, padding : padding + width]
 
-        _attach(
-            out, "conv2d", (x, kernels, bias), _backward, lambda a, k, b: conv2d(a, k, b, stride, padding)
-        )
+        def _rerun(a: Tensor, k: Tensor, b: Tensor) -> Tensor:
+            # an unchanged recorded input has the same patch matrix: skip the im2col
+            if a is x:
+                return _conv_gemm(cols, k, b, out_h, out_w)
+            return conv2d(a, k, b, stride, padding)
+
+        _attach(out, "conv2d", (x, kernels, bias), _backward, _rerun)
     return out
+
+
+def _conv_gemm(cols: np.ndarray, kernels: Tensor, bias: Tensor, out_h: int, out_w: int) -> Tensor:
+    """conv2d's output from its (batch, c_in·kH·kW, oh·ow) patch matrix."""
+    c_out = kernels.shape[0]
+    acc = (kernels.data.reshape(c_out, -1) @ cols).reshape(cols.shape[0], c_out, out_h, out_w)
+    acc += bias.data[None, :, None, None]
+    return Tensor(acc)
 
 
 def relu(x) -> Tensor:
@@ -230,7 +242,8 @@ def global_average_pool(x) -> Tensor:
     cells = height * width
     if cells == 0:
         raise ShapeMismatchError("global_average_pool input has an empty spatial grid")
-    out = Tensor(x.data.mean(axis=(2, 3)))
+    # sum / cells is np.mean's own arithmetic, without its dispatch overhead
+    out = Tensor(x.data.sum(axis=(2, 3)) / cells)
     if _recording((x,)):
 
         def _backward(grad: np.ndarray) -> None:
@@ -293,11 +306,20 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
         raise ShapeMismatchError(f"softmax_cross_entropy: {n} logit rows but labels shape {label_array.shape}")
     if (label_array < 0).any() or (label_array >= classes).any():
         raise ValueError(f"label out of range [0, {classes})")
+    return _softmax_cross_entropy(logits, label_array)
+
+
+def _softmax_cross_entropy(logits: Tensor, label_array: np.ndarray) -> Tensor:
+    """softmax_cross_entropy over an int64 label array already checked against the logits."""
+    one_d = logits.data.ndim == 1
+    z = logits.data[None, :] if one_d else logits.data
+    n = z.shape[0]
     shifted = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_norm
     row_index = np.arange(n)
-    out = Tensor(-log_probs[row_index, label_array].mean())
+    # sum / n is np.mean's own arithmetic, as in global_average_pool
+    out = Tensor(-log_probs[row_index, label_array].sum() / n)
     if _recording((logits,)):
 
         def _backward(grad: np.ndarray) -> None:
@@ -307,8 +329,13 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
             grad_z *= grad
             logits.grad += grad_z[0] if one_d else grad_z
 
+        # the labels were checked when this node was recorded; a replay keeps them
         _attach(
-            out, "softmax_cross_entropy", (logits,), _backward, lambda a: softmax_cross_entropy(a, label_array)
+            out,
+            "softmax_cross_entropy",
+            (logits,),
+            _backward,
+            lambda a: _softmax_cross_entropy(a, label_array),
         )
     return out
 
@@ -367,9 +394,14 @@ def _downstream(order: Sequence[Tensor], source: Tensor) -> list[Tensor]:
     return nodes
 
 
-def _replay(nodes: Sequence[Tensor]) -> float:
-    """Rerun nodes in order; a parent outside nodes keeps its recorded value."""
-    fresh: dict[int, Tensor] = {}
+def _replay(source: Tensor, nodes: Sequence[Tensor]) -> float:
+    """Rerun nodes in order; a parent outside nodes keeps its recorded value.
+
+    source, the tensor a probe changes in place, reaches the nodes as a new
+    Tensor over the same data, so no node takes it for its recorded (and
+    unchanged) input and reuses a value derived from the old data.
+    """
+    fresh: dict[int, Tensor] = {id(source): Tensor(source.data)}
     for node in nodes:
         out = node._rerun(*[fresh.get(id(parent), parent) for parent in node._parents])
         fresh[id(node)] = out
@@ -388,12 +420,13 @@ def gradient_check(network, input_values, epsilon: float = 1e-5) -> float:
     The loss is recorded once. A probe of a parameter then replays only the
     tape nodes downstream of it, under no_grad, with the same op functions;
     every other node keeps its recorded value, so each probed loss equals the
-    one a full network(x) call gives. Two cases get full calls instead, for
-    one whole parameter tensor: a downstream node that cannot be replayed
-    (train-mode dropout), and a network whose loss also depends on the
-    parameter off the tape. The guard for the second case shifts every
-    component of the tensor by epsilon at once and requires the replayed
-    loss to equal a full call bit for bit.
+    one a full network(x) call gives. The probed tensor reaches the replay as
+    a new Tensor, so a conv that reads it rebuilds its patch matrix. Two
+    cases get full calls instead, for one whole parameter tensor: a
+    downstream node that cannot be replayed (train-mode dropout), and a
+    network whose loss also depends on the parameter off the tape. The guard
+    for the second case shifts every component of the tensor by epsilon at
+    once and requires the replayed loss to equal a full call bit for bit.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -415,8 +448,8 @@ def gradient_check(network, input_values, epsilon: float = 1e-5) -> float:
             if nodes and all(node._rerun is not None for node in nodes):
                 original = flat.copy()
                 flat += epsilon
-                if _replay(nodes) == full_call():
-                    probe = functools.partial(_replay, nodes)
+                if _replay(param, nodes) == full_call():
+                    probe = functools.partial(_replay, param, nodes)
                 flat[:] = original
             for i in range(flat.size):
                 saved = flat[i]

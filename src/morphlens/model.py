@@ -74,6 +74,22 @@ class ScalingPlan:
     base_width: int
     base_resolution: int
 
+    def __post_init__(self):
+        """Refuse a plan no model can be built from, however it was constructed."""
+        if not (math.isfinite(self.phi) and self.phi >= 0):
+            raise PlanConstraintError(f"phi must be finite and >= 0, got {self.phi}")
+        if not (self.alpha >= 1 and self.beta >= 1 and self.gamma >= 1):
+            raise PlanConstraintError(
+                f"alpha, beta, gamma must each be >= 1, got ({self.alpha}, {self.beta}, {self.gamma})"
+            )
+        if self.base_depth < 1 or self.base_width < 1 or self.base_resolution < 1:
+            raise PlanConstraintError("base depth, width, and resolution must be positive")
+        try:
+            self.depth_mult, self.width_mult, self.resolution_mult
+        except OverflowError:
+            message = f"phi = {self.phi!r} overflows alpha^phi, beta^phi or gamma^phi"
+            raise PlanConstraintError(message) from None
+
     @property
     def depth_mult(self) -> float:
         return self.alpha**self.phi
@@ -100,22 +116,10 @@ def plan_scaling(
     """Derive depth/width/resolution multipliers alpha^phi, beta^phi, gamma^phi.
 
     The coefficients must satisfy alpha * beta^2 * gamma^2 in [2 - tau, 2 + tau]
-    so one step of phi roughly doubles the model's cost, and no multiplier may
-    overflow a float.
+    so one step of phi roughly doubles the model's cost; ScalingPlan itself
+    refuses a bad phi, coefficient or base size and a multiplier that
+    overflows a float.
     """
-    if not (math.isfinite(phi) and phi >= 0):
-        raise PlanConstraintError(f"phi must be finite and >= 0, got {phi}")
-    if alpha < 1 or beta < 1 or gamma < 1:
-        raise PlanConstraintError(f"alpha, beta, gamma must each be >= 1, got ({alpha}, {beta}, {gamma})")
-    if base_depth < 1 or base_width < 1 or base_resolution < 1:
-        raise PlanConstraintError("base depth, width, and resolution must be positive")
-    if tau < 0:
-        raise PlanConstraintError(f"tau must be >= 0, got {tau}")
-    product = alpha * beta**2 * gamma**2
-    if not (2.0 - tau) <= product <= (2.0 + tau):
-        raise PlanConstraintError(
-            f"alpha * beta^2 * gamma^2 = {product!r} outside [{2.0 - tau!r}, {2.0 + tau!r}]"
-        )
     plan = ScalingPlan(
         phi=float(phi),
         alpha=float(alpha),
@@ -125,10 +129,13 @@ def plan_scaling(
         base_width=int(base_width),
         base_resolution=int(base_resolution),
     )
-    try:
-        plan.depth_mult, plan.width_mult, plan.resolution_mult
-    except OverflowError:
-        raise PlanConstraintError(f"phi = {plan.phi!r} overflows alpha^phi, beta^phi or gamma^phi") from None
+    if tau < 0:
+        raise PlanConstraintError(f"tau must be >= 0, got {tau}")
+    product = alpha * beta**2 * gamma**2
+    if not (2.0 - tau) <= product <= (2.0 + tau):
+        raise PlanConstraintError(
+            f"alpha * beta^2 * gamma^2 = {product!r} outside [{2.0 - tau!r}, {2.0 + tau!r}]"
+        )
     return plan
 
 
@@ -619,7 +626,12 @@ def save_plan_sidecar(path, plan: ScalingPlan, seed: int) -> None:
 
 
 def load_plan_sidecar(path) -> tuple[ScalingPlan, int]:
-    """Reconstruct the plan directly (no constraint re-check) plus the seed."""
+    """The plan and seed a sidecar records.
+
+    ScalingPlan refuses a bad phi, coefficient or base size with
+    PlanConstraintError. The alpha * beta^2 * gamma^2 window is not checked
+    again: the sidecar does not record tau.
+    """
     target = Path(path)
     if not target.is_file():
         raise FormatError(f"plan sidecar not found: {target}")

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from morphlens import autodiff
 from morphlens.autodiff import (
     Tensor,
     _as_tensor,
@@ -361,6 +362,16 @@ def test_gap_backward_spreads_g_over_cells():
     assert (upper - lower) / (2 * eps) == pytest.approx(g / 12.0, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "shape", [(1, 8, 32, 32), (1, 16, 16, 16), (32, 16, 16, 16), (208, 16, 16, 16), (3, 5, 7, 9), (2, 4, 1, 1)]
+)
+def test_gap_equals_numpy_mean_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    signed = rng.normal(size=shape)
+    for values in (signed, np.maximum(signed, 0.0), rng.uniform(0.0, 1e6, size=shape)):
+        assert global_average_pool(Tensor(values)).data.tobytes() == values.mean(axis=(2, 3)).tobytes()
+
+
 def test_gap_rejects_empty_grid_and_wrong_rank():
     with pytest.raises(ShapeMismatchError):
         global_average_pool(Tensor(np.zeros((1, 2, 0, 4))))
@@ -444,6 +455,27 @@ def test_softmax_ce_label_out_of_range():
         softmax_cross_entropy(Tensor([0.0, 0.0]), 2)
     with pytest.raises(ValueError):
         softmax_cross_entropy(Tensor([0.0, 0.0]), -1)
+
+
+@pytest.mark.parametrize("shape, labels", [((2,), 1), ((4, 2), [0, 1, 1, 0]), ((3, 5), [4, 0, 2])])
+def test_softmax_ce_rerun_equals_the_checked_public_call_bit_for_bit(shape, labels):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    recorded = softmax_cross_entropy(leaf(rng.normal(size=shape)), labels)
+    for _ in range(5):
+        moved = Tensor(rng.normal(scale=30.0, size=shape))
+        with no_grad():
+            replayed = recorded._rerun(moved)
+        assert replayed.data.tobytes() == softmax_cross_entropy(moved, labels).data.tobytes()
+        z = np.atleast_2d(moved.data)
+        log_probs = z - z.max(axis=1, keepdims=True)
+        log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+        assert replayed.data.tobytes() == (-log_probs[np.arange(len(z)), labels].mean()).tobytes()
+    # the public op still checks what the rerun no longer does
+    rows = 1 if len(shape) == 1 else shape[0]
+    with pytest.raises(ValueError):
+        softmax_cross_entropy(Tensor(rng.normal(size=shape)), [shape[-1]] * rows)
+    with pytest.raises(ShapeMismatchError):
+        softmax_cross_entropy(Tensor(rng.normal(size=shape)), [0] * (rows + 1))
 
 
 def test_softmax_ce_batch_mean():
@@ -757,6 +789,52 @@ def test_replayed_oracle_falls_back_to_full_calls_through_train_dropout():
     # w0 and b0 sit before the dropout: two full calls per component; w1 and
     # b1 replay after one guard call each
     assert counting.calls == 1 + 2 * (12 + 6) + 2
+
+
+class LearnableImageNet(TwoConvNet):
+    """TwoConvNet whose first conv reads a learnable image, probed like any parameter."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.image = leaf(np.random.default_rng(seed + 1000).uniform(0.0, 1.0, size=(1, 2, 8, 8)))
+
+    def __call__(self, x):
+        return super().__call__(self.image)
+
+    def parameters(self):
+        return [("image", self.image), *super().parameters()]
+
+
+@pytest.mark.parametrize("seed", [0, 41])
+def test_replayed_oracle_rebuilds_the_patch_matrix_of_a_probed_conv_input(seed):
+    counting = CountingNet(LearnableImageNet(seed))
+    unused = np.zeros(1)
+    assert gradient_check(counting, unused) == full_call_gradient_check(LearnableImageNet(seed), unused)
+    # a replay that reused the image's recorded patches would fail the guard
+    # and fall back to two full calls per image component
+    assert counting.calls == 1 + len(counting.parameters()) == 1 + 7
+
+
+def test_replayed_oracle_reruns_conv2d_only_where_its_input_changed(monkeypatch):
+    objective, image = randomized_objective(7)
+    unrecorded_inputs = []
+    real_conv2d = autodiff.conv2d
+
+    def counting_conv2d(x, *args):
+        if not autodiff._grad_enabled:
+            unrecorded_inputs.append(x.shape[1])
+        return real_conv2d(x, *args)
+
+    monkeypatch.setattr(autodiff, "conv2d", counting_conv2d)
+    gradient_check(objective, image)
+    tensors = objective.parameters()
+    conv0_components = sum(p.size for name, p in tensors if name.startswith("conv0."))
+    assert conv0_components == 8 * 3 * 3 * 3 + 8
+    # conv0 (3 input channels) runs only in the guard's six full calls; conv1
+    # (8 input channels) also reruns in the replays of conv0's two tensors:
+    # one guard replay each, then two probes per component
+    assert unrecorded_inputs.count(3) == len(tensors) == 6
+    assert unrecorded_inputs.count(8) == len(tensors) + 2 + 2 * conv0_components
 
 
 def test_select_and_multiply_contracts():

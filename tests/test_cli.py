@@ -373,6 +373,29 @@ def test_dump_layer_rejects_bad_index(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [("eval", []), ("explain", []), ("dump-layer", ["--layer-index", "1"])],
+)
+@pytest.mark.parametrize(
+    "phi, reason", [("10000.0", "overflows"), ("nan", "phi must be finite"), ("-1", "phi must be finite")]
+)
+def test_a_bad_phi_in_the_plan_sidecar_is_refused_in_one_error_line(capsys, command, extra, phi, reason):
+    image = run_chain(capsys, "gen-data", "train")
+    sidecar = Path("model.ckpt.plan")
+    lines = sidecar.read_text(encoding="ascii").splitlines()
+    assert lines[0].startswith("phi=")
+    sidecar.write_text("\n".join([f"phi={phi}", *lines[1:]]) + "\n", encoding="ascii")
+    if command != "eval":
+        extra = ["--image", str(image), *extra]
+    code, out, err = run(capsys, command, "--config", "run.cfg", *extra)
+    assert code == 1
+    assert out == ""
+    assert error_lines(err) == [err.rstrip("\n")]
+    assert reason in err
+    assert not Path("out").exists()
+
+
 # the shared config flags
 
 COMMANDS = {

@@ -415,6 +415,21 @@ def test_sidecar_errors(tmp_path):
         load_plan_sidecar(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("phi", "10000.0"), ("phi", "nan"), ("phi", "-1"), ("alpha", "nan"), ("gamma", "0.5"), ("base_width", "0")],
+)
+def test_sidecar_refuses_a_plan_no_model_can_be_built_from(tmp_path, field, value):
+    path = tmp_path / "model.ckpt.plan"
+    save_plan_sidecar(path, plan_scaling(0.0), 1)
+    text = path.read_text(encoding="ascii")
+    start = text.index(f"{field}=")
+    end = text.index("\n", start)
+    path.write_text(f"{text[:start]}{field}={value}{text[end:]}", encoding="ascii")
+    with pytest.raises(PlanConstraintError):
+        load_plan_sidecar(path)
+
+
 def test_load_parameters_round_trip_and_errors():
     model = build_model(default_plan(), 3)
     blob = encode_params(named_arrays(model))
