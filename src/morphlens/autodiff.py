@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import NotScalarError, ShapeMismatchError
+from .errors import MorphLensError, NotScalarError, ShapeMismatchError
 
 _grad_enabled = True
 
@@ -181,7 +181,9 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
     )
     cols = windows.reshape(batch, c_in * k_h * k_w, out_h * out_w)
     flat_kernels = kernels.data.reshape(c_out, -1)
-    out = _conv_gemm(cols, kernels, bias, out_h, out_w)
+    acc = (flat_kernels @ cols).reshape(batch, c_out, out_h, out_w)
+    acc += bias.data[None, :, None, None]
+    out = Tensor(acc)
     if _recording((x, kernels, bias)):
 
         def _backward(grad: np.ndarray) -> None:
@@ -202,21 +204,18 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
                 x.grad += grad_padded[:, :, padding : padding + height, padding : padding + width]
 
         def _rerun(a: Tensor, k: Tensor, b: Tensor) -> Tensor:
-            # an unchanged recorded input has the same patch matrix: skip the im2col
-            if a is x:
-                return _conv_gemm(cols, k, b, out_h, out_w)
-            return conv2d(a, k, b, stride, padding)
+            if a is not x:
+                # a new input, with any replay slots folded into its batch axis
+                return conv2d(Tensor(a.data.reshape(-1, c_in, height, width)), k, b, stride, padding)
+            # The recorded input has the same patch matrix. Kernels stacked as
+            # (slots, c_out, ...) or a bias as (slots, c_out) give one output
+            # per slot and sample, each slot the recording's own GEMMs.
+            per_slot = k.data.reshape(-1, 1, c_out, cols.shape[1]) @ cols
+            per_slot = per_slot + b.data.reshape(-1, 1, c_out, 1)
+            return Tensor(per_slot.reshape(-1, c_out, out_h, out_w))
 
         _attach(out, "conv2d", (x, kernels, bias), _backward, _rerun)
     return out
-
-
-def _conv_gemm(cols: np.ndarray, kernels: Tensor, bias: Tensor, out_h: int, out_w: int) -> Tensor:
-    """conv2d's output from its (batch, c_in·kH·kW, oh·ow) patch matrix."""
-    c_out = kernels.shape[0]
-    acc = (kernels.data.reshape(c_out, -1) @ cols).reshape(cols.shape[0], c_out, out_h, out_w)
-    acc += bias.data[None, :, None, None]
-    return Tensor(acc)
 
 
 def relu(x) -> Tensor:
@@ -284,7 +283,18 @@ def dense(x, weights, bias) -> Tensor:
             if bias.requires_grad:
                 bias.grad += grad.sum(axis=0)
 
-        _attach(out, "dense", (x, weights, bias), _backward, dense)
+        def _rerun(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
+            # A replay may fold slots into a's rows or stack w as (slots, in,
+            # out) or b as (slots, out). Each slot gets its own GEMM over the
+            # recorded row count: a GEMM's rounding of a row can depend on how
+            # many rows share the call.
+            per_slot = a.data.reshape(-1, len(rows), f_in) @ w.data.reshape(-1, f_in, f_out)
+            per_slot = per_slot + b.data.reshape(-1, 1, f_out)
+            if len(per_slot) > 1:
+                return Tensor(per_slot.reshape(-1, f_out))
+            return Tensor(per_slot[0, 0] if one_d else per_slot[0])
+
+        _attach(out, "dense", (x, weights, bias), _backward, _rerun)
     return out
 
 
@@ -313,10 +323,8 @@ def _softmax_cross_entropy(logits: Tensor, label_array: np.ndarray) -> Tensor:
     """softmax_cross_entropy over an int64 label array already checked against the logits."""
     one_d = logits.data.ndim == 1
     z = logits.data[None, :] if one_d else logits.data
-    n = z.shape[0]
-    shifted = z - z.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_norm
+    n, classes = z.shape
+    log_probs = _log_softmax(z)
     row_index = np.arange(n)
     # sum / n is np.mean's own arithmetic, as in global_average_pool
     out = Tensor(-log_probs[row_index, label_array].sum() / n)
@@ -329,15 +337,23 @@ def _softmax_cross_entropy(logits: Tensor, label_array: np.ndarray) -> Tensor:
             grad_z *= grad
             logits.grad += grad_z[0] if one_d else grad_z
 
-        # the labels were checked when this node was recorded; a replay keeps them
-        _attach(
-            out,
-            "softmax_cross_entropy",
-            (logits,),
-            _backward,
-            lambda a: _softmax_cross_entropy(a, label_array),
-        )
+        def _rerun(a: Tensor) -> Tensor:
+            # the labels were checked when this node was recorded; a replay keeps them
+            z = a.data.reshape(-1, classes)
+            if len(z) == n:
+                return _softmax_cross_entropy(a, label_array)
+            # slots a replay folded into the rows: one mean per slot
+            picked = _log_softmax(z).reshape(-1, n, classes)[:, row_index, label_array]
+            return Tensor(-picked.sum(axis=1) / n)
+
+        _attach(out, "softmax_cross_entropy", (logits,), _backward, _rerun)
     return out
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of 2-D logits, shifted by each row's max."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def dropout(x, rate: float, mode: str = "train", rng=None) -> Tensor:
@@ -394,18 +410,90 @@ def _downstream(order: Sequence[Tensor], source: Tensor) -> list[Tensor]:
     return nodes
 
 
-def _replay(source: Tensor, nodes: Sequence[Tensor]) -> float:
-    """Rerun nodes in order; a parent outside nodes keeps its recorded value.
+def _replay(source: Tensor, nodes: Sequence[Tensor], value: np.ndarray) -> np.ndarray:
+    """The last node's value when nodes rerun in order with source set to value.
 
-    source, the tensor a probe changes in place, reaches the nodes as a new
-    Tensor over the same data, so no node takes it for its recorded (and
-    unchanged) input and reuses a value derived from the old data.
+    A parent outside nodes keeps its recorded value. value reaches the nodes
+    as a new Tensor, so no node takes it for its recorded (and unchanged)
+    input and reuses a value derived from the old data. A value with a
+    leading slot axis, (slots, *source.shape), replays every slot at once:
+    the values downstream carry the slots folded into their batch axis, and
+    the loss comes back as one value per slot.
     """
-    fresh: dict[int, Tensor] = {id(source): Tensor(source.data)}
+    last_reader = {id(parent): node for node in nodes for parent in node._parents}
+    fresh: dict[int, Tensor] = {id(source): Tensor(value)}
     for node in nodes:
         out = node._rerun(*[fresh.get(id(parent), parent) for parent in node._parents])
+        for parent in node._parents:
+            if last_reader[id(parent)] is node:
+                fresh.pop(id(parent), None)  # free each value once its last reader reran
         fresh[id(node)] = out
-    return float(out.data)
+    return out.data
+
+
+# Bytes one stacked replay may hold copies of: the probed tensor plus the
+# recorded values downstream of it, once per slot. It sets how many probes
+# share a replay.
+_STACK_BYTES = 1 << 19
+
+
+def _slot_count(param: Tensor, nodes: Sequence[Tensor]) -> int:
+    """Slots per stacked replay of param's probes: as many as the budget allows, spread evenly over the chunks."""
+    probes = 2 * param.size
+    per_slot = param.data.nbytes + sum(node.data.nbytes for node in nodes)
+    most = max(1, min(probes, _STACK_BYTES // per_slot))
+    chunks = -(-probes // most)
+    return -(-probes // chunks)
+
+
+def _probe_losses(param: Tensor, nodes: Sequence[Tensor], full_call, epsilon: float) -> np.ndarray:
+    """The loss at each probe of param: probe k < size adds epsilon to component k, probe size + k subtracts it.
+
+    The guard shifts every component by epsilon at once and makes one full
+    call. Stacked replays of chunks of probes are used if a stack of copies
+    of that state replays to the full call's loss in every slot; else one
+    replay per probe if that replays to it; else a full call per probe.
+    """
+    flat = param.data.reshape(-1)
+    size = flat.size
+    shifted = np.concatenate([flat + epsilon, flat - epsilon])
+    losses = np.empty(2 * size)
+    slots = 0  # 0: full calls, 1: a replay per probe, more: probes per stacked replay
+    if nodes and all(node._rerun is not None for node in nodes):
+        original = flat.copy()
+        flat += epsilon
+        expected = full_call()
+        slots = _slot_count(param, nodes)
+        if slots > 1:
+            try:
+                got = _replay(param, nodes, np.tile(flat, (slots, 1)).reshape(slots, *param.shape))
+            except (MorphLensError, ValueError):  # an op that cannot take stacked slots
+                got = None
+            if got is None or got.shape != (slots,) or not (got == expected).all():
+                slots = 1
+        if slots == 1 and float(_replay(param, nodes, param.data)) != expected:
+            slots = 0
+        flat[:] = original
+    if slots > 1:
+        # the last chunk's unused slots keep the recorded values, so every
+        # replay has the shape the guard checked
+        stack = np.tile(flat, (slots, 1))
+        for start in range(0, 2 * size, slots):
+            probes = np.arange(start, min(start + slots, 2 * size))
+            used, columns = np.arange(len(probes)), probes % size
+            stack[used, columns] = shifted[probes]
+            losses[probes] = _replay(param, nodes, stack.reshape(slots, *param.shape))[: len(probes)]
+            stack[used, columns] = flat[columns]
+        return losses
+    probe = functools.partial(_replay, param, nodes, param.data) if slots else full_call
+    for i in range(size):
+        saved = flat[i]
+        flat[i] = shifted[i]
+        losses[i] = probe()
+        flat[i] = shifted[size + i]
+        losses[size + i] = probe()
+        flat[i] = saved
+    return losses
 
 
 def gradient_check(network, input_values, epsilon: float = 1e-5) -> float:
@@ -420,16 +508,27 @@ def gradient_check(network, input_values, epsilon: float = 1e-5) -> float:
     The loss is recorded once. A probe of a parameter then replays only the
     tape nodes downstream of it, under no_grad, with the same op functions;
     every other node keeps its recorded value, so each probed loss equals the
-    one a full network(x) call gives. The probed tensor reaches the replay as
-    a new Tensor, so a conv that reads it rebuilds its patch matrix. Two
-    cases get full calls instead, for one whole parameter tensor: a
-    downstream node that cannot be replayed (train-mode dropout), and a
-    network whose loss also depends on the parameter off the tape. The guard
-    for the second case shifts every component of the tensor by epsilon at
-    once and requires the replayed loss to equal a full call bit for bit.
+    one a full network(x) call gives. The probes of one tensor replay in
+    chunks: the tensor gets a leading slot axis, one probe per slot, with
+    as many slots as copies of the tensor and of the recorded values
+    downstream fit _STACK_BYTES, and every slot runs the whole downstream
+    forward with its own parameter value. The probed tensor
+    reaches the replay as a new Tensor, so a conv that reads it rebuilds its
+    patch matrix. Per tensor, one full call at every component shifted by
+    epsilon guards the replay (see _probe_losses): an op that cannot stack
+    slots falls back to one replay per probe, and a downstream node that
+    cannot be replayed (train-mode dropout) or a network whose loss also
+    depends on the parameter off the tape falls back to full calls.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    # The replays allocate and free the same few blocks over and over. glibc
+    # gives a freed heap top back to the OS once it exceeds twice the largest
+    # mmap-sized block freed so far (mallopt(3)), so each replay would fault
+    # its pages in anew: 29k minor faults per audit of the default model.
+    # Freeing one untouched block of _STACK_BYTES lifts that limit above a
+    # stacked replay's working set, for the rest of the process.
+    np.empty(_STACK_BYTES // 8)
     x = Tensor(np.asarray(input_values, dtype=np.float64))
     loss = network(x)
     store = backward(loss)
@@ -442,25 +541,11 @@ def gradient_check(network, input_values, epsilon: float = 1e-5) -> float:
     with no_grad():
         for _name, param in network.parameters():
             analytic = store[param].reshape(-1)
-            flat = param.data.reshape(-1)
-            nodes = _downstream(order, param)
-            probe = full_call
-            if nodes and all(node._rerun is not None for node in nodes):
-                original = flat.copy()
-                flat += epsilon
-                if _replay(param, nodes) == full_call():
-                    probe = functools.partial(_replay, param, nodes)
-                flat[:] = original
-            for i in range(flat.size):
-                saved = flat[i]
-                flat[i] = saved + epsilon
-                upper = probe()
-                flat[i] = saved - epsilon
-                lower = probe()
-                flat[i] = saved
-                numeric = (upper - lower) / (2.0 * epsilon)
-                denom = max(abs(analytic[i]), abs(numeric), 1e-12)
-                error = abs(analytic[i] - numeric) / denom
-                if error > worst:
-                    worst = error
+            losses = _probe_losses(param, _downstream(order, param), full_call, epsilon)
+            numeric = (losses[: analytic.size] - losses[analytic.size :]) / (2.0 * epsilon)
+            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
+            errors = np.abs(analytic - numeric) / denom
+            above = errors[errors > worst]  # a NaN error never counts, as in a scalar max loop
+            if above.size:
+                worst = float(above.max())
     return worst

@@ -216,8 +216,9 @@ def save_corpus(directory, corpus: list[LabeledImage]) -> None:
     """Write bonafide/NNNN.ppm, morph/NNNN.ppm, and manifest.tsv.
 
     Manifest columns: id, label, source_a, source_b, lambda (6 decimals);
-    bona fide rows carry "-" in the blend columns. One row per image, no
-    header, rows in corpus order.
+    bona fide rows carry "-" in the blend columns. One newline-terminated
+    row per image, no header, rows in corpus order; an empty corpus writes an
+    empty manifest, which load_corpus reads back as an empty corpus.
     """
     root = Path(directory)
     (root / "bonafide").mkdir(parents=True, exist_ok=True)
@@ -234,7 +235,7 @@ def save_corpus(directory, corpus: list[LabeledImage]) -> None:
             rows.append(f"{sample.uid}\t1\t{p.source_a}\t{p.source_b}\t{p.lam:.6f}")
         else:
             rows.append(f"{sample.uid}\t0\t-\t-\t-")
-    (root / "manifest.tsv").write_text("\n".join(rows) + "\n", encoding="ascii")
+    (root / "manifest.tsv").write_text("".join(f"{row}\n" for row in rows), encoding="ascii")
 
 
 def load_corpus(directory) -> list[LabeledImage]:

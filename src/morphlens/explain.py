@@ -268,10 +268,10 @@ def ensemble(
     if w.shape != (3,):
         raise ExplainError(f"ensemble needs exactly 3 weights, got shape {w.shape}")
     if not np.isfinite(w).all():
-        raise ExplainError(f"ensemble weights must be finite, got {tuple(w)}")
+        raise ExplainError(f"ensemble weights must be finite, got {tuple(w.tolist())}")
     if (w < 0).any():
-        raise ExplainError(f"ensemble weights must be non-negative, got {tuple(w)}")
-    total = w.sum()
+        raise ExplainError(f"ensemble weights must be non-negative, got {tuple(w.tolist())}")
+    total = float(w.sum())
     if abs(total - 1.0) > 1e-9:
         raise ExplainError(f"ensemble weights must sum to 1, got {total!r}")
     w = w / total

@@ -36,6 +36,15 @@ _DROPOUT_STREAM = 0xD706
 
 DROPOUT_RATE = 0.5
 KERNEL_SIZE = 3
+# Caps on a planned model, checked before anything is allocated. Ten blocks
+# take the largest input to one cell, so 16 leaves room; 10 million float64
+# parameters take 80 MB per copy. Widths double per block, so in practice the
+# parameter cap stops a plan after about a dozen blocks.
+MAX_DEPTH = 16
+MAX_PARAMETERS = 10_000_000
+# Nats by which train's last-epoch loss may exceed chance before the run
+# counts as diverged; an untrained model, with its zero head, sits at chance.
+DIVERGENCE_MARGIN = 0.05
 CONV_STRIDE = 2
 CONV_PADDING = 1
 NUM_CLASSES = 2
@@ -129,8 +138,8 @@ def plan_scaling(
         base_width=int(base_width),
         base_resolution=int(base_resolution),
     )
-    if tau < 0:
-        raise PlanConstraintError(f"tau must be >= 0, got {tau}")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise PlanConstraintError(f"tau must be finite and >= 0, got {tau!r}")
     product = alpha * beta**2 * gamma**2
     if not (2.0 - tau) <= product <= (2.0 + tau):
         raise PlanConstraintError(
@@ -321,11 +330,44 @@ def _zero_sum_kernel(in_channels: int, rms: float, rng: Lcg) -> np.ndarray:
             return v * (rms / scale)
 
 
+def _conv_widths(plan: ScalingPlan) -> list[int]:
+    """Channels of each planned conv block; a plan over MAX_DEPTH or MAX_PARAMETERS is refused.
+
+    Each size is compared before it is rounded to an integer, and a base too
+    large for the caps is never multiplied out, so no plan overflows or
+    allocates on its way to a refusal.
+    """
+    if plan.base_depth > MAX_DEPTH or not plan.base_depth * plan.depth_mult < MAX_DEPTH + 0.5:
+        raise PlanConstraintError(
+            f"planned depth {plan.base_depth} * {plan.depth_mult!r} is above the {MAX_DEPTH}-block maximum"
+        )
+    widths: list[int] = []
+    in_channels, parameters = 3, NUM_CLASSES
+    for stage in range(_round_half_up(plan.base_depth * plan.depth_mult)):
+        width = math.inf
+        if plan.base_width <= MAX_PARAMETERS:
+            width = plan.base_width * plan.width_mult * 2**stage
+        if width <= MAX_PARAMETERS:  # a block has at least one parameter per channel
+            width = _round_half_up(width)
+        parameters += width * (in_channels * KERNEL_SIZE * KERNEL_SIZE + 1)
+        # with the head's weights on this block, as if it were the last one
+        if parameters + width * NUM_CLASSES > MAX_PARAMETERS:
+            raise PlanConstraintError(
+                f"planned model is above the {MAX_PARAMETERS}-parameter maximum at conv{stage} "
+                f"(base width {plan.base_width}, width multiplier {plan.width_mult!r})"
+            )
+        widths.append(width)
+        in_channels = width
+    return widths
+
+
 def model_shapes(plan: ScalingPlan, seed: int) -> CnnModel:
     """The planned architecture with every parameter zero and no draws made.
 
     A checkpoint load fills it through load_parameters; build_model fills it
-    from the seed's init stream.
+    from the seed's init stream. A plan whose input side leaves
+    [8, MAX_RESOLUTION], or that is deeper than MAX_DEPTH conv blocks or
+    larger than MAX_PARAMETERS parameters, is refused before any allocation.
     """
     raw_resolution = _round_half_up(plan.base_resolution * plan.resolution_mult)
     resolution = 4 * _round_half_up(raw_resolution / 4.0)
@@ -335,8 +377,7 @@ def model_shapes(plan: ScalingPlan, seed: int) -> CnnModel:
         raise PlanConstraintError(
             f"scaled input resolution {resolution} is above the {MAX_RESOLUTION}-pixel maximum"
         )
-    depth = _round_half_up(plan.base_depth * plan.depth_mult)
-    widths = [_round_half_up(plan.base_width * plan.width_mult * 2**stage) for stage in range(depth)]
+    widths = _conv_widths(plan)
     layers: list = []
     in_channels = 3
     for stage, width in enumerate(widths):
@@ -491,7 +532,10 @@ def train(
     class balance and both gradient streams are present in every update. The
     head dropout draws from a dedicated stream that advances across steps.
     Raises TrainingError as soon as a step's loss, or any parameter after the
-    last update, is not finite.
+    last update, is not finite. After at least one epoch it also raises when
+    the last epoch's mean loss is above chance (ln 2) by more than
+    DIVERGENCE_MARGIN, or when two or more train samples all get the same
+    logits: a run that ends there has learned nothing a checkpoint should keep.
     """
     if not dataset:
         raise DataError("cannot train on an empty dataset")
@@ -540,7 +584,14 @@ def train(
     for name, tensor in model.parameters():
         if not np.isfinite(tensor.data).all():
             raise TrainingError(f"parameter {name!r} is not finite after training; {diverged}")
+    if epochs > 0 and losses[-1] > math.log(NUM_CLASSES) + DIVERGENCE_MARGIN:
+        raise TrainingError(
+            f"last-epoch loss {losses[-1]!r} is above chance, ln {NUM_CLASSES}, "
+            f"by more than {DIVERGENCE_MARGIN}; {diverged}"
+        )
     logits = _eval_logits(model, inputs, batch_size)
+    if epochs > 0 and n > 1 and (logits == logits[0]).all():
+        raise TrainingError(f"every train sample gets the same logits {logits[0].tolist()}; {diverged}")
     predictions = (logits[:, 1] > logits[:, 0]).astype(np.int64)  # ties -> bona fide
     accuracy = float((predictions == labels).mean())
     return TrainReport(tuple(losses), accuracy, epochs, batch_size, seed)

@@ -720,15 +720,52 @@ def randomized_objective(seed):
     return ClassificationObjective(model, label=seed % 2), image
 
 
+def recorded_replays(monkeypatch):
+    """Record (probed tensor, slots) for every replay gradient_check makes.
+
+    slots is 0 for a replay of the tensor itself and the length of the
+    leading slot axis for a stacked one.
+    """
+    replays = []
+    real_replay = autodiff._replay
+
+    def recording_replay(source, nodes, value):
+        replays.append((source, value.shape[0] if value.ndim > source.data.ndim else 0))
+        return real_replay(source, nodes, value)
+
+    monkeypatch.setattr(autodiff, "_replay", recording_replay)
+    return replays
+
+
+def slots_by_tensor(replays, network):
+    """{parameter name: sorted set of slot counts its replays used}."""
+    names = {id(tensor): name for name, tensor in network.parameters()}
+    found = {}
+    for source, slots in replays:
+        found.setdefault(names[id(source)], set()).add(slots)
+    return {name: sorted(counts) for name, counts in found.items()}
+
+
 @pytest.mark.parametrize("seed", [0, 41, 97])
-def test_replayed_oracle_matches_full_calls_bit_for_bit_on_two_conv_nets(seed):
+def test_replayed_oracle_matches_full_calls_bit_for_bit_on_two_conv_nets(monkeypatch, seed):
     net, x = smooth_state(seed)
+    replays = recorded_replays(monkeypatch)
     assert gradient_check(net, x) == full_call_gradient_check(net, x)
+    # every tensor's probes replay stacked, in slots
+    used = slots_by_tensor(replays, net)
+    assert set(used) == {name for name, _ in net.parameters()}
+    assert all(min(counts) > 1 for counts in used.values())
 
 
-def test_replayed_oracle_matches_full_calls_bit_for_bit_on_default_model():
+def test_replayed_oracle_matches_full_calls_bit_for_bit_on_default_model(monkeypatch):
     objective, image = randomized_objective(5)
+    replays = recorded_replays(monkeypatch)
     assert gradient_check(objective, image) == full_call_gradient_check(objective, image)
+    used = slots_by_tensor(replays, objective)
+    # the guard and every chunk, the padded last one included, share one shape
+    for name, tensor in objective.parameters():
+        assert len(used[name]) == 1 and used[name][0] > 1
+        assert sum(1 for source, _ in replays if source is tensor) == 1 + -(-2 * tensor.size // used[name][0])
 
 
 def test_replayed_oracle_calls_the_network_once_per_parameter_tensor():
@@ -806,13 +843,16 @@ class LearnableImageNet(TwoConvNet):
 
 
 @pytest.mark.parametrize("seed", [0, 41])
-def test_replayed_oracle_rebuilds_the_patch_matrix_of_a_probed_conv_input(seed):
+def test_replayed_oracle_rebuilds_the_patch_matrix_of_a_probed_conv_input(monkeypatch, seed):
     counting = CountingNet(LearnableImageNet(seed))
     unused = np.zeros(1)
+    replays = recorded_replays(monkeypatch)
     assert gradient_check(counting, unused) == full_call_gradient_check(LearnableImageNet(seed), unused)
     # a replay that reused the image's recorded patches would fail the guard
     # and fall back to two full calls per image component
     assert counting.calls == 1 + len(counting.parameters()) == 1 + 7
+    # the image's probes replay stacked, folded into the first conv's batch
+    assert min(slots_by_tensor(replays, counting)["image"]) > 1
 
 
 def test_replayed_oracle_reruns_conv2d_only_where_its_input_changed(monkeypatch):
@@ -826,15 +866,118 @@ def test_replayed_oracle_reruns_conv2d_only_where_its_input_changed(monkeypatch)
         return real_conv2d(x, *args)
 
     monkeypatch.setattr(autodiff, "conv2d", counting_conv2d)
+    replays = recorded_replays(monkeypatch)
     gradient_check(objective, image)
     tensors = objective.parameters()
-    conv0_components = sum(p.size for name, p in tensors if name.startswith("conv0."))
-    assert conv0_components == 8 * 3 * 3 * 3 + 8
+    conv0 = [(name, p) for name, p in tensors if name.startswith("conv0.")]
+    assert sum(p.size for _, p in conv0) == 8 * 3 * 3 * 3 + 8
     # conv0 (3 input channels) runs only in the guard's six full calls; conv1
     # (8 input channels) also reruns in the replays of conv0's two tensors:
-    # one guard replay each, then two probes per component
+    # one stacked guard replay each, then one stacked replay per chunk of
+    # probes, all with the same number of slots
+    conv0_replays = 0
+    for _, tensor in conv0:
+        slots = [count for source, count in replays if source is tensor]
+        assert len(set(slots)) == 1 and slots[0] > 1
+        assert len(slots) == 1 + -(-2 * tensor.size // slots[0])
+        conv0_replays += len(slots)
     assert unrecorded_inputs.count(3) == len(tensors) == 6
-    assert unrecorded_inputs.count(8) == len(tensors) + 2 + 2 * conv0_components
+    assert unrecorded_inputs.count(8) == len(tensors) + conv0_replays
+
+
+class WideHeadNet:
+    """A dense head over 1,000 features: a large probed tensor with almost nothing downstream."""
+
+    def __init__(self):
+        rng = np.random.default_rng(11)
+        self.w = leaf(rng.normal(0.0, 0.05, size=(1000, 2)))
+        self.b = leaf(rng.normal(0.0, 0.05, size=(2,)))
+
+    def __call__(self, x):
+        return softmax_cross_entropy(dense(x, self.w, self.b), [1])
+
+    def parameters(self):
+        return [("w", self.w), ("b", self.b)]
+
+
+def test_stacked_replays_count_the_probed_tensor_against_the_budget(monkeypatch):
+    values = []
+    real_replay = autodiff._replay
+
+    def measuring_replay(source, nodes, value):
+        values.append(value.nbytes)
+        return real_replay(source, nodes, value)
+
+    monkeypatch.setattr(autodiff, "_replay", measuring_replay)
+    x = np.random.default_rng(12).uniform(0.0, 1.0, size=(1, 1000))
+    assert gradient_check(WideHeadNet(), x) == full_call_gradient_check(WideHeadNet(), x)
+    # counting only the values downstream, w's 4,000 probes would share one
+    # 4,000-slot stack of 16 kB copies
+    assert max(values) <= autodiff._STACK_BYTES
+
+
+class ScaledLinearNet(LinearNet):
+    """LinearNet with its output scaled by multiply, which refuses operands of two shapes."""
+
+    def __call__(self, x):
+        return reduce_sum(multiply(dense(x, self.w, self.b), Tensor([0.5])))
+
+
+@pytest.mark.parametrize("net", [LinearNet, ScaledLinearNet])
+def test_oracle_replays_one_probe_at_a_time_through_an_op_that_cannot_stack(monkeypatch, net):
+    # reduce_sum sums every slot into one scalar and multiply raises on the
+    # stacked operand, so the stacked guard fails either way
+    replays = recorded_replays(monkeypatch)
+    counting = CountingNet(net())
+    assert gradient_check(counting, np.array([0.7, -0.3])) == full_call_gradient_check(net(), [0.7, -0.3])
+    assert counting.calls == 1 + 2
+    assert slots_by_tensor(replays, counting) == {"w": [0, 4], "b": [0, 2]}
+    # one stacked guard replay, then the one-slot guard and one replay per probe
+    assert len(replays) == (1 + 1 + 2 * 2) + (1 + 1 + 2 * 1)
+
+
+def stale_last_slot(x) -> Tensor:
+    """Identity whose rerun, given slots, feeds the last one its recorded input."""
+    x = _as_tensor(x)
+    out = Tensor(x.data.copy())
+    if _recording((x,)):
+
+        def _backward(grad: np.ndarray) -> None:
+            x.grad += grad
+
+        recorded = x.data.copy()
+
+        def _rerun(a: Tensor) -> Tensor:
+            data = a.data.copy()
+            if len(data) > len(recorded):
+                data[-len(recorded) :] = recorded
+            return Tensor(data)
+
+        _attach(out, "stale_last_slot", (x,), _backward, _rerun)
+    return out
+
+
+class StaleSlotNet(TwoConvNet):
+    def __call__(self, x):
+        h = relu(conv2d(x, self.k0, self.b0, 2, 1))
+        h = stale_last_slot(relu(conv2d(h, self.k1, self.b1, 2, 1)))
+        return softmax_cross_entropy(dense(global_average_pool(h), self.w, self.bw), [1])
+
+
+def test_stacked_guard_refuses_a_replay_that_feeds_one_slot_stale_data(monkeypatch):
+    net, x = smooth_state(0)
+    stale = StaleSlotNet(0)
+    for (_, mine), (_, theirs) in zip(stale.parameters(), net.parameters()):
+        mine.data = theirs.data.copy()
+    replays = recorded_replays(monkeypatch)
+    counting = CountingNet(stale)
+    assert gradient_check(counting, x) == full_call_gradient_check(net, x)
+    assert counting.calls == 1 + 6
+    used = slots_by_tensor(replays, stale)
+    # the tensors upstream of the stale op replay one probe at a time after
+    # their stacked guard fails; w and bw sit downstream of it and stack
+    assert all(0 in used[name] for name in ("k0", "b0", "k1", "b1"))
+    assert all(0 not in used[name] for name in ("w", "bw"))
 
 
 def test_select_and_multiply_contracts():

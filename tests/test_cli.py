@@ -9,6 +9,7 @@ from morphlens import cli, explain
 from morphlens.checkpoint import decode_params, encode_params
 from morphlens.cli import main
 from morphlens.config import CONFIG_KEYS, RunConfig
+from morphlens.data import load_corpus
 from morphlens.explain import decode_feature_vector
 from morphlens.metrics import parse_report
 from morphlens.model import CnnModel, build_model, load_plan_sidecar
@@ -75,6 +76,18 @@ def test_gen_data_rejects_infeasible_morph_count(capsys):
     assert code == 1
     assert err.startswith("error:")
     assert "pairs" in err
+
+
+def test_an_empty_corpus_round_trips_and_train_reports_it(capsys):
+    code, _, err = run(capsys, "gen-data", "--config", "run.cfg", "--n-bonafide", "0", "--n-morphed", "0")
+    assert code == 0, err
+    assert Path("corpus/manifest.tsv").read_bytes() == b""
+    assert load_corpus("corpus") == []
+    code, out, err = run(capsys, "train", "--config", "run.cfg")
+    assert code == 1
+    assert out == ""
+    assert err == "error: cannot split an empty corpus\n"
+    assert not Path("model.ckpt").exists()
 
 
 def test_gen_data_rejects_a_huge_resolution_in_one_error_line(capsys):
@@ -147,6 +160,27 @@ def test_train_divergence_fails_and_keeps_the_previous_checkpoint(capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rate", ["2", "10", "1e6"])
+def test_train_refuses_a_run_that_ends_above_chance_and_keeps_the_checkpoint(capsys, rate):
+    run_chain(capsys, "gen-data", "train")
+    previous = {name: Path(name).read_bytes() for name in ("model.ckpt", "model.ckpt.plan")}
+    code, out, err = run(capsys, "train", "--config", "run.cfg", "--learning-rate", rate)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "above chance" in err and "training diverged" in err
+    for name, content in previous.items():
+        assert Path(name).read_bytes() == content, name
+
+
+def test_train_accepts_a_tiny_learning_rate(capsys):
+    run_chain(capsys, "gen-data")
+    code, out, err = run(capsys, "train", "--config", "run.cfg", "--learning-rate", "1e-6")
+    assert code == 0, err
+    assert "wrote checkpoint" in out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_warns_nothing_on_divergence(capsys):
     # a numpy overflow warning would raise here; stderr holds only the error line
     run_chain(capsys, "gen-data")
@@ -180,6 +214,16 @@ def test_train_rejects_an_overflowing_phi_in_one_error_line(capsys, phi):
     assert not Path("model.ckpt").exists()
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-1.0"])
+def test_train_rejects_a_tau_that_is_not_finite_and_non_negative(capsys, tau):
+    run_chain(capsys, "gen-data")
+    code, out, err = run(capsys, "train", "--config", "run.cfg", f"--tau={tau}")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: tau must be finite and >= 0, got {tau}\n"
+    assert not Path("model.ckpt").exists()
+
+
 def test_train_rejects_a_huge_resolution_in_one_error_line(capsys):
     run_chain(capsys, "gen-data")
     code, out, err = run(capsys, "train", "--config", "run.cfg", "--base-resolution", "100000000")
@@ -187,6 +231,19 @@ def test_train_rejects_a_huge_resolution_in_one_error_line(capsys):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "1024-pixel maximum" in err
+    assert not Path("model.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, reason", [("--base-width", "10000000-parameter maximum"), ("--base-depth", "16-block maximum")]
+)
+def test_train_rejects_an_oversized_plan_in_one_error_line(capsys, flag, reason):
+    run_chain(capsys, "gen-data")
+    code, out, err = run(capsys, "train", "--config", "run.cfg", flag, "100000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert reason in err
     assert not Path("model.ckpt").exists()
 
 
@@ -294,6 +351,24 @@ def test_explain_rejects_non_finite_weights_in_one_error_line(capsys):
     assert "ensemble weights must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ("1,1,1", "ensemble weights must sum to 1, got 3.0"),
+        ("nan,0,1", "ensemble weights must be finite, got (nan, 0.0, 1.0)"),
+        ("-1,1,1", "ensemble weights must be non-negative, got (-1.0, 1.0, 1.0)"),
+    ],
+)
+def test_explain_weight_errors_print_plain_values(capsys, weights, message):
+    image = run_chain(capsys, "gen-data", "train")
+    code, out, err = run(
+        capsys, "explain", "--config", "run.cfg", "--image", str(image), f"--ensemble-weights={weights}"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_explain_runs_one_forward_and_one_backward(capsys, monkeypatch):
     image = run_chain(capsys, "gen-data", "train")
     calls = {"forward": 0, "backward": 0}
@@ -389,6 +464,21 @@ def test_a_bad_phi_in_the_plan_sidecar_is_refused_in_one_error_line(capsys, comm
     if command != "eval":
         extra = ["--image", str(image), *extra]
     code, out, err = run(capsys, command, "--config", "run.cfg", *extra)
+    assert code == 1
+    assert out == ""
+    assert error_lines(err) == [err.rstrip("\n")]
+    assert reason in err
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("key, reason", [("base_width", "parameter maximum"), ("base_depth", "block maximum")])
+def test_an_oversized_plan_in_the_sidecar_is_refused_in_one_error_line(capsys, key, reason):
+    run_chain(capsys, "gen-data", "train")
+    sidecar = Path("model.ckpt.plan")
+    text = sidecar.read_text(encoding="ascii")
+    lines = [f"{key}=100000" if line.startswith(f"{key}=") else line for line in text.splitlines()]
+    sidecar.write_text("\n".join(lines) + "\n", encoding="ascii")
+    code, out, err = run(capsys, "eval", "--config", "run.cfg")
     assert code == 1
     assert out == ""
     assert error_lines(err) == [err.rstrip("\n")]

@@ -1,8 +1,11 @@
 """Scaling plans, model construction, training behavior, dumps, sidecars."""
 
+import math
+
 import numpy as np
 import pytest
 
+from morphlens import model as model_module
 from morphlens.checkpoint import decode_params, encode_params
 from morphlens.data import MAX_RESOLUTION, build_corpus, generate_face, preprocess, split
 from morphlens.errors import (
@@ -14,6 +17,7 @@ from morphlens.errors import (
     TrainingError,
 )
 from morphlens.model import (
+    MAX_DEPTH,
     CnnModel,
     build_model,
     dump_layer_activations,
@@ -140,6 +144,29 @@ def test_build_resolution_multiple_of_four_and_minimum():
     assert build_model(tiny, 1).input_resolution == 8
     with pytest.raises(PlanConstraintError):
         build_model(plan_scaling(0.0, base_resolution=2), 1)
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.0, 2.0, 3.0])
+def test_the_size_caps_count_the_planned_parameters_exactly(monkeypatch, phi):
+    plan = plan_scaling(phi)
+    parameters = sum(tensor.size for _, tensor in model_shapes(plan, 1).parameters())
+    monkeypatch.setattr(model_module, "MAX_PARAMETERS", parameters)
+    assert sum(tensor.size for _, tensor in model_shapes(plan, 1).parameters()) == parameters
+    monkeypatch.setattr(model_module, "MAX_PARAMETERS", parameters - 1)
+    with pytest.raises(PlanConstraintError, match="parameter maximum"):
+        model_shapes(plan, 1)
+
+
+def test_the_depth_cap_is_checked_before_any_width():
+    # at the depth cap the doubling widths already break the parameter cap
+    with pytest.raises(PlanConstraintError, match="parameter maximum at conv"):
+        model_shapes(plan_scaling(0.0, base_depth=MAX_DEPTH, base_width=1), 1)
+    with pytest.raises(PlanConstraintError, match=f"{MAX_DEPTH}-block maximum"):
+        model_shapes(plan_scaling(0.0, base_depth=MAX_DEPTH + 1), 1)
+    with pytest.raises(PlanConstraintError, match="block maximum"):
+        model_shapes(plan_scaling(0.0, base_depth=10**400), 1)
+    with pytest.raises(PlanConstraintError, match="parameter maximum"):
+        model_shapes(plan_scaling(0.0, base_width=10**400), 1)
 
 
 def test_build_resolution_maximum():
@@ -294,6 +321,25 @@ def test_chunked_eval_logits_match_one_batch_bit_for_bit(phi):
     chunked = _eval_logits(model, inputs, 5)  # chunks of 5, 5 and 3
     assert chunked.shape == (13, 2)
     assert chunked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_train_accepts_every_criterion_7_seed(seed):
+    # the desk defaults: 128 + 128 faces at 64 pixels, phi 0, 5 epochs of batch 32
+    part = split(build_corpus(128, 128, seed, 64), 0.8, seed)
+    report = train(build_model(default_plan(), seed), part.train, seed=seed)
+    assert report.epoch_losses[-1] < math.log(2)
+    assert report.train_accuracy >= 0.95
+
+
+def test_train_refuses_a_run_whose_logits_all_agree(monkeypatch):
+    corpus = build_corpus(4, 4, seed=1, resolution=16)
+    monkeypatch.setattr(model_module, "_eval_logits", lambda model, inputs, batch_size: np.zeros((len(inputs), 2)))
+    with pytest.raises(TrainingError, match="same logits"):
+        train(build_model(default_plan(), 1), corpus, epochs=1, batch_size=8, seed=1)
+    # one sample, or no epoch at all, cannot show a collapse
+    assert train(build_model(default_plan(), 1), corpus[:1], epochs=1, seed=1).epochs == 1
+    assert train(build_model(default_plan(), 1), corpus, epochs=0, seed=1).epochs == 0
 
 
 def test_train_batches_mix_classes():
