@@ -11,20 +11,22 @@ last tensor of it is dropped, without waiting for the cyclic collector.
 
 Each node also records how to rerun itself: the op applied to new parent
 tensors, with the op's other arguments fixed. gradient_check uses that to
-replay a recorded tape: a probe of one parameter reruns only the nodes
-downstream of it and reads every other value from the recording, the way
-ADOL-C re-evaluates a taped function at new inputs (Griewank & Walther,
-Evaluating Derivatives, 2008). A conv node rerun on its recorded input
-reuses the patch matrix its backward keeps, and the loss node reuses the
-labels it checked when recorded. Train-mode dropout records no rerun, since
-its mask comes from a generator; a tape holding one falls back to full
-network calls, as does a network that reads a parameter off the tape.
+replay a recorded tape: the probes of one parameter rerun only the nodes
+downstream of it, stacked along a leading slot axis, and read every other
+value from the recording, the way ADOL-C re-evaluates a taped function at
+new inputs (Griewank & Walther, Evaluating Derivatives, 2008). A conv node
+rerun on its recorded input reuses the patch matrix its backward keeps, and
+the loss node reuses the labels it checked when recorded. The oracle has
+one other path, a full network call per probe. It is taken when a tape
+cannot replay a parameter's slots: train-mode dropout records no rerun,
+since its mask comes from a generator, and neither does select, whose
+scalar has no slot axis. A network that reads a parameter off the tape
+takes it too.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import weakref
 from typing import Callable, Iterator, Sequence
 
@@ -284,15 +286,14 @@ def dense(x, weights, bias) -> Tensor:
                 bias.grad += grad.sum(axis=0)
 
         def _rerun(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
-            # A replay may fold slots into a's rows or stack w as (slots, in,
-            # out) or b as (slots, out). Each slot gets its own GEMM over the
-            # recorded row count: a GEMM's rounding of a row can depend on how
-            # many rows share the call.
+            # A replay folds its slots into a's rows, or stacks w as (slots,
+            # in, out) or b as (slots, out), and gets (slots·rows, out) back.
+            # Each slot gets its own GEMM over the recorded row count: a
+            # GEMM's rounding of a row can depend on how many rows share the
+            # call.
             per_slot = a.data.reshape(-1, len(rows), f_in) @ w.data.reshape(-1, f_in, f_out)
             per_slot = per_slot + b.data.reshape(-1, 1, f_out)
-            if len(per_slot) > 1:
-                return Tensor(per_slot.reshape(-1, f_out))
-            return Tensor(per_slot[0, 0] if one_d else per_slot[0])
+            return Tensor(per_slot.reshape(-1, f_out))
 
         _attach(out, "dense", (x, weights, bias), _backward, _rerun)
     return out
@@ -316,14 +317,6 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
         raise ShapeMismatchError(f"softmax_cross_entropy: {n} logit rows but labels shape {label_array.shape}")
     if (label_array < 0).any() or (label_array >= classes).any():
         raise ValueError(f"label out of range [0, {classes})")
-    return _softmax_cross_entropy(logits, label_array)
-
-
-def _softmax_cross_entropy(logits: Tensor, label_array: np.ndarray) -> Tensor:
-    """softmax_cross_entropy over an int64 label array already checked against the logits."""
-    one_d = logits.data.ndim == 1
-    z = logits.data[None, :] if one_d else logits.data
-    n, classes = z.shape
     log_probs = _log_softmax(z)
     row_index = np.arange(n)
     # sum / n is np.mean's own arithmetic, as in global_average_pool
@@ -338,13 +331,10 @@ def _softmax_cross_entropy(logits: Tensor, label_array: np.ndarray) -> Tensor:
             logits.grad += grad_z[0] if one_d else grad_z
 
         def _rerun(a: Tensor) -> Tensor:
-            # the labels were checked when this node was recorded; a replay keeps them
-            z = a.data.reshape(-1, classes)
-            if len(z) == n:
-                return _softmax_cross_entropy(a, label_array)
-            # slots a replay folded into the rows: one mean per slot
-            picked = _log_softmax(z).reshape(-1, n, classes)[:, row_index, label_array]
-            return Tensor(-picked.sum(axis=1) / n)
+            # One mean per slot that a replay folded into the rows. The labels
+            # were checked when this node was recorded; a replay keeps them.
+            per_slot = _log_softmax(a.data.reshape(-1, classes)).reshape(-1, n, classes)
+            return Tensor(-per_slot[:, row_index, label_array].sum(axis=1) / n)
 
         _attach(out, "softmax_cross_entropy", (logits,), _backward, _rerun)
     return out
@@ -395,7 +385,7 @@ def select(x, index: int) -> Tensor:
         def _backward(grad: np.ndarray) -> None:
             x.grad.reshape(-1)[index] += float(grad)
 
-        _attach(out, "select", (x,), _backward, lambda a: select(a, index))
+        _attach(out, "select", (x,), _backward, None)  # a scalar has no slot axis to replay
     return out
 
 
@@ -411,14 +401,14 @@ def _downstream(order: Sequence[Tensor], source: Tensor) -> list[Tensor]:
 
 
 def _replay(source: Tensor, nodes: Sequence[Tensor], value: np.ndarray) -> np.ndarray:
-    """The last node's value when nodes rerun in order with source set to value.
+    """The last node's value when nodes rerun in order with source set to each slot of value.
 
-    A parent outside nodes keeps its recorded value. value reaches the nodes
+    value holds one value of source per slot, (slots, *source.shape), and
+    every slot replays at once: the values downstream carry the slots folded
+    into their batch axis, and the loss comes back as one value per slot. A
+    parent outside nodes keeps its recorded value. value reaches the nodes
     as a new Tensor, so no node takes it for its recorded (and unchanged)
-    input and reuses a value derived from the old data. A value with a
-    leading slot axis, (slots, *source.shape), replays every slot at once:
-    the values downstream carry the slots folded into their batch axis, and
-    the loss comes back as one value per slot.
+    input and reuses a value derived from the old data.
     """
     last_reader = {id(parent): node for node in nodes for parent in node._parents}
     fresh: dict[int, Tensor] = {id(source): Tensor(value)}
@@ -449,32 +439,29 @@ def _slot_count(param: Tensor, nodes: Sequence[Tensor]) -> int:
 def _probe_losses(param: Tensor, nodes: Sequence[Tensor], full_call, epsilon: float) -> np.ndarray:
     """The loss at each probe of param: probe k < size adds epsilon to component k, probe size + k subtracts it.
 
+    Two paths: stacked replays of chunks of probes, or a full call per probe.
     The guard shifts every component by epsilon at once and makes one full
-    call. Stacked replays of chunks of probes are used if a stack of copies
-    of that state replays to the full call's loss in every slot; else one
-    replay per probe if that replays to it; else a full call per probe.
+    call; the probes replay stacked only if a stack of copies of that state
+    replays to the full call's loss in every slot.
     """
     flat = param.data.reshape(-1)
     size = flat.size
     shifted = np.concatenate([flat + epsilon, flat - epsilon])
     losses = np.empty(2 * size)
-    slots = 0  # 0: full calls, 1: a replay per probe, more: probes per stacked replay
+    slots = 0  # probes per stacked replay; 0: full calls
     if nodes and all(node._rerun is not None for node in nodes):
         original = flat.copy()
         flat += epsilon
         expected = full_call()
         slots = _slot_count(param, nodes)
-        if slots > 1:
-            try:
-                got = _replay(param, nodes, np.tile(flat, (slots, 1)).reshape(slots, *param.shape))
-            except (MorphLensError, ValueError):  # an op that cannot take stacked slots
-                got = None
-            if got is None or got.shape != (slots,) or not (got == expected).all():
-                slots = 1
-        if slots == 1 and float(_replay(param, nodes, param.data)) != expected:
+        try:
+            got = _replay(param, nodes, np.tile(flat, (slots, 1)).reshape(slots, *param.shape))
+        except (MorphLensError, ValueError):  # an op that cannot take stacked slots
+            got = None
+        if got is None or got.shape != (slots,) or not (got == expected).all():
             slots = 0
         flat[:] = original
-    if slots > 1:
+    if slots:
         # the last chunk's unused slots keep the recorded values, so every
         # replay has the shape the guard checked
         stack = np.tile(flat, (slots, 1))
@@ -485,13 +472,12 @@ def _probe_losses(param: Tensor, nodes: Sequence[Tensor], full_call, epsilon: fl
             losses[probes] = _replay(param, nodes, stack.reshape(slots, *param.shape))[: len(probes)]
             stack[used, columns] = flat[columns]
         return losses
-    probe = functools.partial(_replay, param, nodes, param.data) if slots else full_call
     for i in range(size):
         saved = flat[i]
         flat[i] = shifted[i]
-        losses[i] = probe()
+        losses[i] = full_call()
         flat[i] = shifted[size + i]
-        losses[size + i] = probe()
+        losses[size + i] = full_call()
         flat[i] = saved
     return losses
 
@@ -505,20 +491,21 @@ def gradient_check(network, input_values, epsilon: float = 1e-5) -> float:
     tape gradient as |analytic - numeric| / max(|analytic|, |numeric|, 1e-12);
     the max over all components is returned.
 
-    The loss is recorded once. A probe of a parameter then replays only the
-    tape nodes downstream of it, under no_grad, with the same op functions;
-    every other node keeps its recorded value, so each probed loss equals the
-    one a full network(x) call gives. The probes of one tensor replay in
-    chunks: the tensor gets a leading slot axis, one probe per slot, with
-    as many slots as copies of the tensor and of the recorded values
-    downstream fit _STACK_BYTES, and every slot runs the whole downstream
-    forward with its own parameter value. The probed tensor
-    reaches the replay as a new Tensor, so a conv that reads it rebuilds its
-    patch matrix. Per tensor, one full call at every component shifted by
-    epsilon guards the replay (see _probe_losses): an op that cannot stack
-    slots falls back to one replay per probe, and a downstream node that
-    cannot be replayed (train-mode dropout) or a network whose loss also
-    depends on the parameter off the tape falls back to full calls.
+    The loss is recorded once. The probes of a parameter tensor then take
+    one of two paths. Stacked replay reruns only the tape nodes downstream
+    of the tensor, under no_grad, with the same op functions, and every
+    other node keeps its recorded value, so each probed loss equals the one
+    a full network(x) call gives. The tensor gets a leading slot axis, one
+    probe per slot, with as many slots (one or more) as copies of the tensor
+    and of the recorded values downstream fit _STACK_BYTES, and every slot
+    runs the whole downstream forward with its own parameter value. The
+    probed tensor reaches the replay as a new Tensor, so a conv that reads
+    it rebuilds its patch matrix. Full calls run network(x) once per probe.
+    Per tensor, one full call at every component shifted by epsilon guards
+    the replay (see _probe_losses). The tensor takes full calls when a
+    downstream node cannot be replayed (train-mode dropout, select) or
+    cannot take slots, or when the network's loss also depends on the
+    parameter off the tape.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")

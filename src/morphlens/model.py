@@ -140,7 +140,10 @@ def plan_scaling(
     )
     if not (math.isfinite(tau) and tau >= 0):
         raise PlanConstraintError(f"tau must be finite and >= 0, got {tau!r}")
-    product = alpha * beta**2 * gamma**2
+    try:
+        product = alpha * beta**2 * gamma**2
+    except OverflowError:  # a float power raises where a product would reach inf
+        product = math.inf
     if not (2.0 - tau) <= product <= (2.0 + tau):
         raise PlanConstraintError(
             f"alpha * beta^2 * gamma^2 = {product!r} outside [{2.0 - tau!r}, {2.0 + tau!r}]"
@@ -369,14 +372,18 @@ def model_shapes(plan: ScalingPlan, seed: int) -> CnnModel:
     [8, MAX_RESOLUTION], or that is deeper than MAX_DEPTH conv blocks or
     larger than MAX_PARAMETERS parameters, is refused before any allocation.
     """
-    raw_resolution = _round_half_up(plan.base_resolution * plan.resolution_mult)
-    resolution = 4 * _round_half_up(raw_resolution / 4.0)
+    # As in _conv_widths, a base too large for any multiplier >= 1 is never
+    # multiplied out: a huge one would overflow. The side rounds to a multiple
+    # of 4, so one scaled below MAX_RESOLUTION + 1.5 rounds to at most that.
+    scaled = plan.base_resolution * plan.resolution_mult if plan.base_resolution <= MAX_RESOLUTION + 1 else math.inf
+    if not scaled < MAX_RESOLUTION + 1.5:
+        raise PlanConstraintError(
+            f"scaled input resolution {plan.base_resolution} * {plan.resolution_mult!r} "
+            f"is above the {MAX_RESOLUTION}-pixel maximum"
+        )
+    resolution = 4 * _round_half_up(_round_half_up(scaled) / 4.0)
     if resolution < 8:
         raise PlanConstraintError(f"scaled input resolution {resolution} is below the 8-pixel minimum")
-    if resolution > MAX_RESOLUTION:
-        raise PlanConstraintError(
-            f"scaled input resolution {resolution} is above the {MAX_RESOLUTION}-pixel maximum"
-        )
     widths = _conv_widths(plan)
     layers: list = []
     in_channels = 3
@@ -534,8 +541,9 @@ def train(
     Raises TrainingError as soon as a step's loss, or any parameter after the
     last update, is not finite. After at least one epoch it also raises when
     the last epoch's mean loss is above chance (ln 2) by more than
-    DIVERGENCE_MARGIN, or when two or more train samples all get the same
-    logits: a run that ends there has learned nothing a checkpoint should keep.
+    DIVERGENCE_MARGIN, or when the train split holds both classes but every
+    train sample is predicted the same class: a run that ends there has
+    learned nothing a checkpoint should keep.
     """
     if not dataset:
         raise DataError("cannot train on an empty dataset")
@@ -590,9 +598,12 @@ def train(
             f"by more than {DIVERGENCE_MARGIN}; {diverged}"
         )
     logits = _eval_logits(model, inputs, batch_size)
-    if epochs > 0 and n > 1 and (logits == logits[0]).all():
-        raise TrainingError(f"every train sample gets the same logits {logits[0].tolist()}; {diverged}")
     predictions = (logits[:, 1] > logits[:, 0]).astype(np.int64)  # ties -> bona fide
+    if epochs > 0 and all(pools) and (predictions == predictions[0]).all():
+        raise TrainingError(
+            f"every train sample is predicted class {predictions[0]}, though both classes are present; "
+            "training collapsed, try more data, more epochs or another learning rate"
+        )
     accuracy = float((predictions == labels).mean())
     return TrainReport(tuple(losses), accuracy, epochs, batch_size, seed)
 

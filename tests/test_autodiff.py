@@ -711,8 +711,8 @@ class CountingNet:
         return self.network.parameters()
 
 
-def randomized_objective(seed):
-    model = build_model(plan_scaling(0.0), seed=0)
+def randomized_objective(seed, phi=0.0):
+    model = build_model(plan_scaling(phi), seed=0)
     rng = np.random.default_rng(seed)
     for _, tensor in model.parameters():
         tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
@@ -721,16 +721,12 @@ def randomized_objective(seed):
 
 
 def recorded_replays(monkeypatch):
-    """Record (probed tensor, slots) for every replay gradient_check makes.
-
-    slots is 0 for a replay of the tensor itself and the length of the
-    leading slot axis for a stacked one.
-    """
+    """Record (probed tensor, length of the leading slot axis) for every replay gradient_check makes."""
     replays = []
     real_replay = autodiff._replay
 
     def recording_replay(source, nodes, value):
-        replays.append((source, value.shape[0] if value.ndim > source.data.ndim else 0))
+        replays.append((source, len(value)))
         return real_replay(source, nodes, value)
 
     monkeypatch.setattr(autodiff, "_replay", recording_replay)
@@ -768,6 +764,20 @@ def test_replayed_oracle_matches_full_calls_bit_for_bit_on_default_model(monkeyp
         assert sum(1 for source, _ in replays if source is tensor) == 1 + -(-2 * tensor.size // used[name][0])
 
 
+def test_replayed_oracle_stacks_a_single_slot_when_one_copy_fills_the_budget(monkeypatch):
+    # at phi = 1 the values downstream of conv0 take about 310 kB per slot, so
+    # a second slot would exceed _STACK_BYTES
+    objective, image = randomized_objective(5, phi=1.0)
+    replays = recorded_replays(monkeypatch)
+    counting = CountingNet(objective)
+    assert gradient_check(counting, image) == full_call_gradient_check(objective, image)
+    used = slots_by_tensor(replays, objective)
+    assert used["conv0.kernels"] == used["conv0.bias"] == [1]
+    assert all(used[name][0] > 1 for name in used if not name.startswith("conv0."))
+    # every tensor replays: the recording, then one guard call per tensor
+    assert counting.calls == 1 + len(objective.parameters()) == 1 + 6
+
+
 def test_replayed_oracle_calls_the_network_once_per_parameter_tensor():
     objective, image = randomized_objective(6)
     counting = CountingNet(objective)
@@ -801,31 +811,33 @@ def test_replayed_oracle_still_sees_a_parameter_read_off_the_tape(k, expected):
 
 
 class TrainDropoutNet:
-    """dense -> train-mode dropout -> dense -> sum; the mask is reseeded on every call."""
+    """dense -> train-mode dropout -> dense -> softmax loss; the mask is reseeded on every call."""
 
     def __init__(self):
         rng = np.random.default_rng(3)
         self.w0 = leaf(rng.normal(size=(2, 6)))
         self.b0 = leaf(rng.normal(size=(6,)))
-        self.w1 = leaf(rng.normal(size=(6, 1)))
-        self.b1 = leaf(rng.normal(size=(1,)))
+        self.w1 = leaf(rng.normal(size=(6, 2)))
+        self.b1 = leaf(rng.normal(size=(2,)))
 
     def __call__(self, x):
         hidden = dropout(dense(x, self.w0, self.b0), 0.5, "train", Lcg(7))
-        return reduce_sum(dense(hidden, self.w1, self.b1))
+        return softmax_cross_entropy(dense(hidden, self.w1, self.b1), 1)
 
     def parameters(self):
         return [("w0", self.w0), ("b0", self.b0), ("w1", self.w1), ("b1", self.b1)]
 
 
-def test_replayed_oracle_falls_back_to_full_calls_through_train_dropout():
+def test_replayed_oracle_falls_back_to_full_calls_through_train_dropout(monkeypatch):
     x = np.array([0.7, -0.3])
+    replays = recorded_replays(monkeypatch)
     counting = CountingNet(TrainDropoutNet())
     worst = gradient_check(counting, x)
     assert worst == full_call_gradient_check(TrainDropoutNet(), x)
-    # w0 and b0 sit before the dropout: two full calls per component; w1 and
-    # b1 replay after one guard call each
+    # w0 and b0 sit before the dropout: two full calls per component and no
+    # replay; w1 and b1 replay stacked after one guard call each
     assert counting.calls == 1 + 2 * (12 + 6) + 2
+    assert set(slots_by_tensor(replays, counting)) == {"w1", "b1"}
 
 
 class LearnableImageNet(TwoConvNet):
@@ -924,16 +936,16 @@ class ScaledLinearNet(LinearNet):
 
 
 @pytest.mark.parametrize("net", [LinearNet, ScaledLinearNet])
-def test_oracle_replays_one_probe_at_a_time_through_an_op_that_cannot_stack(monkeypatch, net):
+def test_oracle_takes_full_calls_through_an_op_that_cannot_stack(monkeypatch, net):
     # reduce_sum sums every slot into one scalar and multiply raises on the
     # stacked operand, so the stacked guard fails either way
     replays = recorded_replays(monkeypatch)
     counting = CountingNet(net())
     assert gradient_check(counting, np.array([0.7, -0.3])) == full_call_gradient_check(net(), [0.7, -0.3])
-    assert counting.calls == 1 + 2
-    assert slots_by_tensor(replays, counting) == {"w": [0, 4], "b": [0, 2]}
-    # one stacked guard replay, then the one-slot guard and one replay per probe
-    assert len(replays) == (1 + 1 + 2 * 2) + (1 + 1 + 2 * 1)
+    # the recording, then per tensor the guard call and two full calls per component
+    assert counting.calls == 1 + (1 + 2 * 2) + (1 + 2 * 1)
+    # the stacked guard replay is each tensor's only replay
+    assert replays == [(counting.network.w, 4), (counting.network.b, 2)]
 
 
 def stale_last_slot(x) -> Tensor:
@@ -972,12 +984,15 @@ def test_stacked_guard_refuses_a_replay_that_feeds_one_slot_stale_data(monkeypat
     replays = recorded_replays(monkeypatch)
     counting = CountingNet(stale)
     assert gradient_check(counting, x) == full_call_gradient_check(net, x)
-    assert counting.calls == 1 + 6
-    used = slots_by_tensor(replays, stale)
-    # the tensors upstream of the stale op replay one probe at a time after
-    # their stacked guard fails; w and bw sit downstream of it and stack
-    assert all(0 in used[name] for name in ("k0", "b0", "k1", "b1"))
-    assert all(0 not in used[name] for name in ("w", "bw"))
+    # the tensors upstream of the stale op take two full calls per component
+    # after their stacked guard fails; w and bw sit downstream of it and stack
+    upstream = [stale.k0, stale.b0, stale.k1, stale.b1]
+    assert counting.calls == 1 + 6 + 2 * sum(tensor.size for tensor in upstream)
+    for tensor in upstream:
+        assert sum(1 for source, _ in replays if source is tensor) == 1
+    for tensor in (stale.w, stale.bw):
+        slots = [count for source, count in replays if source is tensor]
+        assert len(slots) == 1 + -(-2 * tensor.size // slots[0])
 
 
 def test_select_and_multiply_contracts():

@@ -1,9 +1,16 @@
 """End-to-end CLI runs in a scratch directory: files, determinism, errors."""
 
+import contextlib
+import io
+import math
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphlens import cli, explain
 from morphlens.checkpoint import decode_params, encode_params
@@ -173,6 +180,17 @@ def test_train_refuses_a_run_that_ends_above_chance_and_keeps_the_checkpoint(cap
         assert Path(name).read_bytes() == content, name
 
 
+def test_train_refuses_a_run_that_predicts_one_class_at_defaults(capsys):
+    # seed 3 at learning rate 2 ends below chance, but calls every face bona fide
+    assert run(capsys, "gen-data", "--seed", "3")[0] == 0
+    code, out, err = run(capsys, "train", "--seed", "3", "--learning-rate", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "every train sample is predicted class 0, though both classes are present" in err
+    assert not Path("model.ckpt").exists()
+
+
 def test_train_accepts_a_tiny_learning_rate(capsys):
     run_chain(capsys, "gen-data")
     code, out, err = run(capsys, "train", "--config", "run.cfg", "--learning-rate", "1e-6")
@@ -227,6 +245,23 @@ def test_train_rejects_a_tau_that_is_not_finite_and_non_negative(capsys, tau):
 def test_train_rejects_a_huge_resolution_in_one_error_line(capsys):
     run_chain(capsys, "gen-data")
     code, out, err = run(capsys, "train", "--config", "run.cfg", "--base-resolution", "100000000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "1024-pixel maximum" in err
+    assert not Path("model.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--base-resolution", "9" * 401],  # no float holds the base
+        ["--alpha", "1", "--beta", "1", "--gamma", "1.41", "--phi", "2060"],  # base * gamma**phi is inf
+    ],
+)
+def test_train_rejects_a_resolution_no_float_holds_in_one_error_line(capsys, flags):
+    run_chain(capsys, "gen-data")
+    code, out, err = run(capsys, "train", "--config", "run.cfg", *flags)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -486,6 +521,20 @@ def test_an_oversized_plan_in_the_sidecar_is_refused_in_one_error_line(capsys, k
     assert not Path("out").exists()
 
 
+def test_a_401_digit_resolution_in_the_sidecar_is_refused_in_one_error_line(capsys):
+    run_chain(capsys, "gen-data", "train")
+    sidecar = Path("model.ckpt.plan")
+    text = sidecar.read_text(encoding="ascii")
+    assert "base_resolution=16\n" in text
+    sidecar.write_text(text.replace("base_resolution=16\n", f"base_resolution={'9' * 401}\n"), encoding="ascii")
+    code, out, err = run(capsys, "eval", "--config", "run.cfg")
+    assert code == 1
+    assert out == ""
+    assert error_lines(err) == [err.rstrip("\n")]
+    assert "1024-pixel maximum" in err
+    assert not Path("out").exists()
+
+
 # the shared config flags
 
 COMMANDS = {
@@ -548,3 +597,88 @@ def test_env_seed_must_be_an_integer(capsys, monkeypatch):
     assert code == 1
     assert err.startswith("error:")
     assert "MORPHLENS_SEED" in err
+
+
+# the one-error-line contract for every flag value
+
+HUGE = 10**400
+
+
+def _float_flag(low, high):
+    """A value in [low, high], or one that is not finite, negative, huge or not a number."""
+    valid = st.floats(low, high, allow_nan=False)
+    hostile = st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -1.0, 0.0]),
+        st.floats(max_value=0.0, exclude_max=True),
+    )
+    text = st.sampled_from(["", "x", "1e", str(HUGE), f"-{HUGE}"])
+    return st.one_of(valid.map(repr), hostile.map(repr), text)
+
+
+def _int_flag(low, high, huge=True):
+    """A value in [low, high], a negative or (if huge) huge one, or one that is not an integer.
+
+    huge is False where a huge value is valid and only slow: more epochs or faces.
+    """
+    options = [st.integers(low, high), st.integers(max_value=-1), st.integers(-HUGE, -(10**18))]
+    if huge:
+        options += [st.integers(min_value=10**18), st.just(HUGE)]
+    return st.one_of(st.one_of(options).map(str), st.sampled_from(["", "x", "1.5", "0x10"]))
+
+
+# Valid values stay small: at most one epoch, 8 + 8 faces and 16-pixel images.
+FLAG_VALUES = {
+    "phi": _float_flag(0.0, 0.5),
+    "alpha": _float_flag(1.0, 1.3),
+    "beta": _float_flag(1.0, 1.3),
+    "gamma": _float_flag(1.0, 1.3),
+    "tau": _float_flag(0.0, 1.0),
+    "learning_rate": _float_flag(1e-6, 10.0),
+    "base_depth": _int_flag(1, 3),
+    "base_width": _int_flag(1, 8),
+    "base_resolution": _int_flag(8, 16),
+    "batch_size": _int_flag(1, 32),
+    "seed": _int_flag(0, 20),
+    "epochs": _int_flag(0, 1, huge=False),
+    "n_bonafide": _int_flag(0, 8, huge=False),
+    "n_morphed": _int_flag(0, 8),
+}
+
+
+@pytest.fixture(scope="module")
+def prepared(tmp_path_factory):
+    """A corpus and a checkpoint trained on it from SMALL_CONFIG, and that config cut to one epoch."""
+    root = tmp_path_factory.mktemp("prepared")
+    config = root / "run.cfg"
+    config.write_text(SMALL_CONFIG.replace("epochs=2", "epochs=1"), encoding="ascii")
+    paths = ["--corpus-dir", str(root / "corpus"), "--checkpoint", str(root / "model.ckpt")]
+    for command, extra in (("gen-data", []), ("train", ["--epochs", "2"])):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", str(config), *paths, *extra]) == 0
+    return root
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["gen-data", "train", "eval"]),
+    flags=st.fixed_dictionaries({}, optional=FLAG_VALUES),
+)
+def test_every_flag_value_ends_in_success_one_error_line_or_a_usage_error(prepared, command, flags):
+    with tempfile.TemporaryDirectory(dir=prepared) as work:
+        shutil.copytree(prepared / "corpus", Path(work) / "corpus")
+        shutil.copy(prepared / "model.ckpt", work)
+        shutil.copy(prepared / "model.ckpt.plan", work)
+        argv = [command, "--config", str(prepared / "run.cfg"), "--corpus-dir", f"{work}/corpus"]
+        argv += ["--checkpoint", f"{work}/model.ckpt", "--output-dir", f"{work}/out"]
+        argv += [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    if code == 1:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

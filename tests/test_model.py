@@ -173,6 +173,11 @@ def test_build_resolution_maximum():
     assert build_model(plan_scaling(0.0, base_resolution=MAX_RESOLUTION), 1).input_resolution == MAX_RESOLUTION
     with pytest.raises(PlanConstraintError, match="maximum"):
         build_model(plan_scaling(0.0, base_resolution=MAX_RESOLUTION + 4), 1)
+    # 1025 still rounds to 1024; a base no multiplier >= 1 brings under the cap is refused unmultiplied
+    assert model_shapes(plan_scaling(0.0, base_resolution=MAX_RESOLUTION + 1), 1).input_resolution == MAX_RESOLUTION
+    for base in (MAX_RESOLUTION + 2, 10**400):
+        with pytest.raises(PlanConstraintError, match="1024-pixel maximum"):
+            model_shapes(plan_scaling(0.0, base_resolution=base), 1)
 
 
 def test_first_stage_kernels_ignore_tone_and_ramps():
@@ -267,7 +272,7 @@ def test_train_deterministic_checkpoints():
 
 
 def test_train_report_fields():
-    corpus = build_corpus(4, 2, seed=7, resolution=64)
+    corpus = build_corpus(4, 4, seed=7, resolution=64)
     model = build_model(default_plan(), 7)
     report = train(model, corpus, epochs=2, batch_size=3, learning_rate=0.05, seed=7)
     assert len(report.epoch_losses) == 2
@@ -276,10 +281,14 @@ def test_train_report_fields():
 
 
 def test_train_resizes_other_resolution_corpora():
+    # the 32-pixel faces are scored at the model's 64 pixels
     corpus = build_corpus(4, 2, seed=3, resolution=32)
-    model = build_model(default_plan(), 3)
-    report = train(model, corpus, epochs=1, batch_size=4, learning_rate=0.05, seed=3)
-    assert len(report.epoch_losses) == 1
+    report = train(build_model(default_plan(), 3), corpus, epochs=0, seed=3)
+    assert report.epoch_losses == () and 0.0 <= report.train_accuracy <= 1.0
+    # an epoch on them runs to the end, but a run this small on resized faces
+    # predicts one class for all of them and is refused
+    with pytest.raises(TrainingError, match="predicted class"):
+        train(build_model(default_plan(), 3), corpus, epochs=1, batch_size=4, learning_rate=0.05, seed=3)
 
 
 def test_train_errors():
@@ -335,10 +344,11 @@ def test_train_accepts_every_criterion_7_seed(seed):
 def test_train_refuses_a_run_whose_logits_all_agree(monkeypatch):
     corpus = build_corpus(4, 4, seed=1, resolution=16)
     monkeypatch.setattr(model_module, "_eval_logits", lambda model, inputs, batch_size: np.zeros((len(inputs), 2)))
-    with pytest.raises(TrainingError, match="same logits"):
+    with pytest.raises(TrainingError, match="every train sample is predicted class 0, though both classes"):
         train(build_model(default_plan(), 1), corpus, epochs=1, batch_size=8, seed=1)
-    # one sample, or no epoch at all, cannot show a collapse
-    assert train(build_model(default_plan(), 1), corpus[:1], epochs=1, seed=1).epochs == 1
+    # a split of one class, or no epoch at all, cannot show a collapse
+    assert {sample.label for sample in corpus[:4]} == {0}
+    assert train(build_model(default_plan(), 1), corpus[:4], epochs=1, seed=1).epochs == 1
     assert train(build_model(default_plan(), 1), corpus, epochs=0, seed=1).epochs == 0
 
 
