@@ -43,7 +43,10 @@ def decode_params(data: bytes) -> list[tuple[str, np.ndarray]]:
         tokens = data[pos:newline].split(b" ")
         if len(tokens) < 2:
             raise FormatError(f"checkpoint header needs a name and dimensions, got {data[pos:newline]!r}")
-        name = tokens[0].decode("ascii")
+        try:
+            name = tokens[0].decode("ascii")
+        except UnicodeDecodeError:
+            raise FormatError(f"non-ASCII parameter name in checkpoint header {data[pos:newline]!r}") from None
         try:
             dims = tuple(int(t) for t in tokens[1:])
         except ValueError:

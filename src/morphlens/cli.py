@@ -31,6 +31,7 @@ from .explain import (
 from .explain import cam, gradcam, saliency_map  # noqa: F401 -- names the benchmark tracer patches
 from .metrics import compute_metrics, confusion, format_report
 from .model import (
+    PLAN_KEYS,
     CnnModel,
     build_model,
     dump_layer_activations,
@@ -90,20 +91,21 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
 
 
 def _plan(cfg: RunConfig):
-    return plan_scaling(
-        cfg.phi,
-        cfg.alpha,
-        cfg.beta,
-        cfg.gamma,
-        cfg.base_depth,
-        cfg.base_width,
-        cfg.base_resolution,
-        tau=cfg.tau,
-    )
+    return plan_scaling(**{key: getattr(cfg, key) for key in PLAN_KEYS}, tau=cfg.tau)
 
 
 def _sidecar_path(checkpoint_path: str) -> Path:
     return Path(str(checkpoint_path) + ".plan")
+
+
+def _check_checkpoint_writable(ckpt: Path) -> None:
+    """Refuse, before training, a checkpoint path train could not write to."""
+    for target in (ckpt, _sidecar_path(ckpt)):
+        if target.is_dir():
+            raise CliError(f"cannot write checkpoint {ckpt}: {target} is a directory")
+    parent = next((p for p in ckpt.parents if p.exists()), ckpt.parent)
+    if not parent.is_dir() or not os.access(parent, os.W_OK | os.X_OK):
+        raise CliError(f"cannot write checkpoint {ckpt}: {parent} is not a writable directory")
 
 
 def _load_model(cfg: RunConfig) -> tuple[CnnModel, int]:
@@ -142,12 +144,13 @@ def cmd_train(cfg: RunConfig, ns: argparse.Namespace) -> int:
         raise CliError(f"batch-size must be >= 1, got {cfg.batch_size}")
     if not 0.0 < cfg.learning_rate < math.inf:
         raise CliError(f"learning-rate must be positive and finite, got {cfg.learning_rate!r}")
+    ckpt = Path(cfg.checkpoint)
+    _check_checkpoint_writable(ckpt)
     corpus = load_corpus(cfg.corpus_dir)
     plan = _plan(cfg)
     model = build_model(plan, cfg.seed)
     part = split(corpus, SPLIT_RATIO, cfg.seed)
     report = train(model, part.train, cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.seed)
-    ckpt = Path(cfg.checkpoint)
     if ckpt.parent != Path(""):
         ckpt.parent.mkdir(parents=True, exist_ok=True)
     save_params(ckpt, [(name, tensor.data) for name, tensor in model.parameters()])

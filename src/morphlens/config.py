@@ -1,6 +1,9 @@
-"""Flat key=value run configuration with typed parsing and exact round-trips.
+"""Flat key=value text: the run configuration and the one reader and printer.
 
-Floats are printed with repr so parse(format(cfg)) == cfg bit-for-bit; the
+Config files, the checkpoint's plan sidecar and the metrics report share
+this syntax: one key=value pair per line, blank lines and # comments
+skipped, spaces around key and value ignored, a later key winning. Floats
+are printed with repr so parse(format(cfg)) == cfg bit-for-bit; the
 ensemble weights are one comma-separated triple.
 """
 
@@ -68,7 +71,8 @@ def parse_value(key: str, raw: str):
     return raw
 
 
-def _format_value(key: str, value) -> str:
+def format_value(key: str, value) -> str:
+    """Print one config value so parse_value gives it back exactly."""
     kind = _KINDS[key]
     if kind == "float":
         return repr(value)
@@ -77,27 +81,47 @@ def _format_value(key: str, value) -> str:
     return str(value)
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Apply key=value lines (blank lines and # comments ignored) to defaults."""
-    cfg = RunConfig(**vars(base)) if base is not None else RunConfig()
+def parse_pairs(text: str, kind: str) -> dict[str, str]:
+    """The key=value pairs of a file's text; kind names the file in errors."""
+    pairs: dict[str, str] = {}
     for line_no, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise FormatError(f"config line {line_no} is not key=value: {line!r}")
+            raise FormatError(f"{kind} line {line_no} is not key=value: {line!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        setattr(cfg, key, parse_value(key, raw.strip()))
+        pairs[key.strip()] = raw.strip()
+    return pairs
+
+
+def format_pairs(pairs: dict[str, str]) -> str:
+    return "".join(f"{key}={value}\n" for key, value in pairs.items())
+
+
+def read_text(path, kind: str) -> str:
+    """A key=value file's text; a missing file or a non-ASCII byte is a FormatError."""
+    target = Path(path)
+    if not target.is_file():
+        raise FormatError(f"{kind} not found: {target}")
+    try:
+        return target.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise FormatError(f"{kind} {target} is not ASCII text: byte {byte:#04x} at offset {exc.start}") from None
+
+
+def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+    """Apply key=value text to base, or to the defaults."""
+    cfg = RunConfig(**vars(base)) if base is not None else RunConfig()
+    for key, raw in parse_pairs(text, "config").items():
+        setattr(cfg, key, parse_value(key, raw))
     return cfg
 
 
 def format_config(cfg: RunConfig) -> str:
-    return "\n".join(f"{key}={_format_value(key, getattr(cfg, key))}" for key in CONFIG_KEYS) + "\n"
+    return format_pairs({key: format_value(key, getattr(cfg, key)) for key in CONFIG_KEYS})
 
 
 def load_config(path) -> RunConfig:
-    target = Path(path)
-    if not target.is_file():
-        raise FormatError(f"config file not found: {target}")
-    return parse_config(target.read_text(encoding="ascii"))
+    return parse_config(read_text(path, "config file"))

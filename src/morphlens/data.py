@@ -78,10 +78,14 @@ class DatasetSplit:
     seed: int
 
 
-def generate_face(seed: int, index: int, resolution: int = 64) -> LabeledImage:
-    """Deterministic synthetic face: all geometry and tones are LCG draws."""
+def _check_face_resolution(resolution: int) -> None:
     if not 8 <= resolution <= MAX_RESOLUTION:
         raise DataError(f"face resolution must be in [8, {MAX_RESOLUTION}], got {resolution}")
+
+
+def generate_face(seed: int, index: int, resolution: int = 64) -> LabeledImage:
+    """Deterministic synthetic face: all geometry and tones are LCG draws."""
+    _check_face_resolution(resolution)
     rng = Lcg(derive_seed(seed, _FACE_STREAM, index))
     res = resolution
     yy, xx = np.mgrid[0:res, 0:res].astype(np.float64)
@@ -150,6 +154,7 @@ def build_corpus(
     """Bona fide faces followed by morphs over distinct unordered pairs."""
     if n_bonafide < 0 or n_morphed < 0:
         raise DataError("corpus sizes must be non-negative")
+    _check_face_resolution(resolution)  # also when the corpus is empty
     max_pairs = n_bonafide * (n_bonafide - 1) // 2
     if n_morphed > max_pairs:
         raise DataError(
@@ -245,7 +250,12 @@ def load_corpus(directory) -> list[LabeledImage]:
         raise DataError(f"corpus not found: no manifest at {manifest}")
     samples: list[LabeledImage] = []
     counters = {0: 0, 1: 0}
-    for line_no, line in enumerate(manifest.read_text(encoding="ascii").splitlines(), 1):
+    try:
+        text = manifest.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise DataError(f"manifest {manifest} is not ASCII text: byte {byte:#04x} at offset {exc.start}") from None
+    for line_no, line in enumerate(text.splitlines(), 1):
         fields = line.split("\t")
         if len(fields) != 5:
             raise DataError(f"manifest line {line_no} has {len(fields)} fields, expected 5")

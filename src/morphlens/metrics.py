@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import MetricsError
+from .config import format_pairs, parse_pairs
+from .errors import FormatError, MetricsError
 
+_COUNT_KEYS = ("tp", "tn", "fp", "fn")
 _METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "apcer", "bpcer", "hter")
 
 
@@ -24,7 +26,7 @@ class ConfusionCounts:
     fn: int
 
     def __post_init__(self):
-        for name in ("tp", "tn", "fp", "fn"):
+        for name in _COUNT_KEYS:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise MetricsError(f"{name} must be a non-negative integer, got {value!r}")
@@ -110,31 +112,19 @@ def compute_metrics(counts: ConfusionCounts) -> MetricsReport:
 
 def format_report(report: MetricsReport) -> str:
     """Flat metric=value text; undefined metrics print the word undefined."""
-    lines = [
-        f"tp={report.counts.tp}",
-        f"tn={report.counts.tn}",
-        f"fp={report.counts.fp}",
-        f"fn={report.counts.fn}",
-    ]
+    values = {key: str(getattr(report.counts, key)) for key in _COUNT_KEYS}
     for key in _METRIC_KEYS:
         value = getattr(report, key)
-        lines.append(f"{key}={'undefined' if value is None else repr(value)}")
-    return "\n".join(lines) + "\n"
+        values[key] = "undefined" if value is None else repr(value)
+    return format_pairs(values)
 
 
 def parse_report(text: str) -> dict[str, float | int | None]:
     """Inverse of format_report, for tooling and tests."""
     values: dict[str, float | int | None] = {}
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise MetricsError(f"report line {line_no} is not metric=value: {line!r}")
-        key, _, raw = line.partition("=")
-        if raw == "undefined":
-            values[key] = None
-        elif key in ("tp", "tn", "fp", "fn"):
-            values[key] = int(raw)
-        else:
-            values[key] = float(raw)
+    for key, raw in parse_pairs(text, "report").items():
+        try:
+            values[key] = None if raw == "undefined" else int(raw) if key in _COUNT_KEYS else float(raw)
+        except ValueError:
+            raise FormatError(f"bad value for {key} in report: {raw!r}") from None
     return values

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor, backward, no_grad, softmax_cross_entropy
+from .config import format_pairs, format_value, parse_pairs, parse_value, read_text
 from .data import MAX_RESOLUTION, NOISE_AMPLITUDE, LabeledImage, preprocess
 from .errors import (
     ArchitectureError,
@@ -110,6 +111,11 @@ class ScalingPlan:
     @property
     def resolution_mult(self) -> float:
         return self.gamma**self.phi
+
+
+# The plan's fields, each also a config key: the CLI plans from them and the
+# checkpoint sidecar records them, then the seed.
+PLAN_KEYS = tuple(field.name for field in fields(ScalingPlan))
 
 
 def plan_scaling(
@@ -667,50 +673,28 @@ class ClassificationObjective:
         return self.model.parameters()
 
 
-# Sidecar keys in file order, each with the type its value parses as.
-_SIDECAR_FIELDS = {
-    "phi": float,
-    "alpha": float,
-    "beta": float,
-    "gamma": float,
-    "base_depth": int,
-    "base_width": int,
-    "base_resolution": int,
-    "seed": int,
-}
-
-
 def save_plan_sidecar(path, plan: ScalingPlan, seed: int) -> None:
     """Write the key=value sidecar that lets a checkpoint rebuild its model."""
     values = {**asdict(plan), "seed": seed}
-    lines = [f"{key}={values[key]}" for key in _SIDECAR_FIELDS]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    text = format_pairs({key: format_value(key, value) for key, value in values.items()})
+    Path(path).write_text(text, encoding="ascii")
 
 
 def load_plan_sidecar(path) -> tuple[ScalingPlan, int]:
-    """The plan and seed a sidecar records.
+    """The plan and seed a sidecar records; the sidecar is config text.
 
     ScalingPlan refuses a bad phi, coefficient or base size with
     PlanConstraintError. The alpha * beta^2 * gamma^2 window is not checked
     again: the sidecar does not record tau.
     """
-    target = Path(path)
-    if not target.is_file():
-        raise FormatError(f"plan sidecar not found: {target}")
-    values: dict[str, str] = {}
-    for line_no, line in enumerate(target.read_text(encoding="ascii").splitlines(), 1):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise FormatError(f"sidecar line {line_no} is not key=value: {line!r}")
-        key, _, raw = line.partition("=")
-        values[key.strip()] = raw.strip()
-    missing = [key for key in _SIDECAR_FIELDS if key not in values]
+    pairs = parse_pairs(read_text(path, "plan sidecar"), "sidecar")
+    keys = (*PLAN_KEYS, "seed")
+    missing = [key for key in keys if key not in pairs]
     if missing:
         raise FormatError(f"sidecar is missing keys: {', '.join(missing)}")
     try:
-        parsed = {key: kind(values[key]) for key, kind in _SIDECAR_FIELDS.items()}
-    except ValueError as exc:
-        raise FormatError(f"sidecar has a malformed value: {exc}") from None
-    seed = parsed.pop("seed")
-    return ScalingPlan(**parsed), seed
+        values = {key: parse_value(key, pairs[key]) for key in keys}
+    except FormatError as exc:
+        raise FormatError(f"plan sidecar {path}: {exc}") from None
+    seed = values.pop("seed")
+    return ScalingPlan(**values), seed

@@ -105,6 +105,16 @@ def test_gen_data_rejects_a_huge_resolution_in_one_error_line(capsys):
     assert "1024" in err
 
 
+@pytest.mark.parametrize("resolution", ["100000000", "5"])
+def test_gen_data_checks_the_resolution_of_an_empty_corpus(capsys, resolution):
+    flags = ["--n-bonafide", "0", "--n-morphed", "0", "--base-resolution", resolution]
+    code, out, err = run(capsys, "gen-data", "--config", "run.cfg", *flags)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: face resolution must be in [8, 1024], got {resolution}\n"
+    assert not Path("corpus").exists()
+
+
 # train
 
 
@@ -147,6 +157,19 @@ def test_train_rejects_bad_hyperparameters_before_reading_corpus(capsys, flag, v
     assert err.startswith("error:") and err.count("\n") == 1
     assert flag[2:] in err
     assert not Path("model.ckpt").exists()
+
+
+@pytest.mark.parametrize("checkpoint", ["a_directory", "a_file/m.ckpt"])
+def test_train_refuses_an_unwritable_checkpoint_before_reading_corpus(capsys, checkpoint):
+    # no corpus exists: the path must be refused first, in one error line
+    Path("a_directory").mkdir()
+    Path("a_file").write_bytes(b"")
+    before = sorted(Path(".").rglob("*"))
+    code, out, err = run(capsys, "train", "--config", "run.cfg", "--checkpoint", checkpoint)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write checkpoint {checkpoint}: ") and err.count("\n") == 1
+    assert sorted(Path(".").rglob("*")) == before
 
 
 def error_lines(err):
@@ -533,6 +556,36 @@ def test_a_401_digit_resolution_in_the_sidecar_is_refused_in_one_error_line(caps
     assert error_lines(err) == [err.rstrip("\n")]
     assert "1024-pixel maximum" in err
     assert not Path("out").exists()
+
+
+def _append_non_ascii(path):
+    Path(path).write_bytes(Path(path).read_bytes() + b"\xff\n")
+
+
+def _corrupt_checkpoint_name(path):
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob.replace(b"MLNS1\n", b"MLNS1\n\xff", 1))
+
+
+@pytest.mark.parametrize(
+    "command, corrupt, reason",
+    [
+        ("gen-data", lambda: _append_non_ascii("run.cfg"), "config file run.cfg is not ASCII text: byte 0xff"),
+        ("eval", lambda: _append_non_ascii("model.ckpt.plan"), "plan sidecar model.ckpt.plan is not ASCII text"),
+        ("train", lambda: _append_non_ascii("corpus/manifest.tsv"), "manifest corpus/manifest.tsv is not ASCII"),
+        ("dump-layer", lambda: _corrupt_checkpoint_name("model.ckpt"), "non-ASCII parameter name"),
+    ],
+    ids=["config", "sidecar", "manifest", "checkpoint"],
+)
+def test_a_non_ascii_byte_in_a_text_file_is_refused_in_one_error_line(capsys, command, corrupt, reason):
+    image = run_chain(capsys, "gen-data", "train")
+    corrupt()
+    extra = ["--image", str(image), "--layer-index", "1"] if command == "dump-layer" else []
+    code, out, err = run(capsys, command, "--config", "run.cfg", *extra)
+    assert code == 1
+    assert out == ""
+    assert error_lines(err) == [err.rstrip("\n")]
+    assert reason in err
 
 
 # the shared config flags

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from morphlens.errors import MetricsError
+from morphlens.errors import FormatError, MetricsError
 from morphlens.metrics import (
     ConfusionCounts,
     MetricsReport,
@@ -277,6 +277,6 @@ def test_report_is_one_metric_per_line():
 
 
 def test_parse_report_rejects_bad_lines():
-    with pytest.raises(MetricsError):
+    with pytest.raises(FormatError):
         parse_report("accuracy 0.5\n")
     assert parse_report("\naccuracy=0.5\n\n") == {"accuracy": 0.5}

@@ -1,5 +1,6 @@
 """Scaling plans, model construction, training behavior, dumps, sidecars."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from morphlens import model as model_module
 from morphlens.checkpoint import decode_params, encode_params
+from morphlens.config import CONFIG_KEYS, parse_config
 from morphlens.data import MAX_RESOLUTION, build_corpus, generate_face, preprocess, split
 from morphlens.errors import (
     DataError,
@@ -18,7 +20,9 @@ from morphlens.errors import (
 )
 from morphlens.model import (
     MAX_DEPTH,
+    PLAN_KEYS,
     CnnModel,
+    ScalingPlan,
     build_model,
     dump_layer_activations,
     load_plan_sidecar,
@@ -468,6 +472,40 @@ def test_sidecar_errors(tmp_path):
         encoding="ascii",
     )
     with pytest.raises(FormatError):
+        load_plan_sidecar(path)
+
+
+def test_sidecar_reads_like_a_config_file(tmp_path):
+    path = tmp_path / "model.ckpt.plan"
+    text = (
+        "# trained by hand\n\n  phi = 0.5\nalpha=1.2\nbeta=1.1\n   \ngamma = 1.15\n"
+        "base_depth=2\nbase_width=8\nbase_resolution=64\nseed=9\n# a later key wins\nphi=1.0\n"
+    )
+    path.write_text(text, encoding="ascii")
+    plan, seed = load_plan_sidecar(path)
+    cfg = parse_config(text)
+    assert plan == ScalingPlan(**{key: getattr(cfg, key) for key in PLAN_KEYS})
+    assert seed == cfg.seed == 9
+    assert plan.phi == 1.0
+
+
+def test_sidecar_keys_are_the_plan_fields_then_the_seed(tmp_path):
+    path = tmp_path / "model.ckpt.plan"
+    save_plan_sidecar(path, plan_scaling(0.0), 1)
+    keys = [line.partition("=")[0] for line in path.read_text(encoding="ascii").splitlines()]
+    assert keys == [field.name for field in dataclasses.fields(ScalingPlan)] + ["seed"]
+    assert list(PLAN_KEYS) == keys[:-1]
+    assert set(keys) <= set(CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key, value", [("phi", "x"), ("gamma", ""), ("base_depth", "2.5"), ("seed", "one")])
+def test_a_bad_sidecar_value_is_a_format_error_naming_its_key(tmp_path, key, value):
+    path = tmp_path / "model.ckpt.plan"
+    save_plan_sidecar(path, plan_scaling(0.0), 1)
+    text = path.read_text(encoding="ascii")
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line for line in text.splitlines()]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with pytest.raises(FormatError, match=f"bad value for {key}:"):
         load_plan_sidecar(path)
 
 
