@@ -3,7 +3,16 @@
 The tape is implicit: each operation returns a Tensor holding references to
 its inputs plus a closure that pushes gradients back to them. backward()
 walks that graph once in reverse topological order and recomputes gradients
-from scratch on every call, so repeated calls on the same tape agree.
+from scratch on every call, so repeated calls on the same tape agree. A
+closure hands each contribution to _accumulate: the first one a node gets
+is stored, later ones are added in place, so no gradient is zero-filled
+before it is written. The result has the bits of zeros plus each
+contribution in turn.
+
+A conv's input gradient is one np.bincount per sample over the patch
+matrix's gradient (col2im; the im2col unfolding is Chellapilla, Puri &
+Simard, 2006): a cached index maps each patch entry to its input cell, and
+bincount adds each cell's taps in the order the patch matrix holds them.
 
 A closure reaches its own output only through a weak reference, so the tape
 holds no reference cycle: it is freed by reference counting as soon as the
@@ -27,6 +36,7 @@ takes it too.
 from __future__ import annotations
 
 import contextlib
+import functools
 import weakref
 from typing import Callable, Iterator, Sequence
 
@@ -134,12 +144,49 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         raise NotScalarError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     topo = _tape_order(loss)
     for node in topo:
-        node.grad = np.zeros_like(node.data)
+        node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
+        # every consumer of node ran before it; one that got no contribution gets zeros
+        if node.grad is None:
+            node.grad = np.zeros(node.data.shape)
         if node._backward is not None:
             node._backward()
     return {node: node.grad for node in topo if node._backward is None}
+
+
+def _accumulate(node: Tensor, value, owned: bool = False) -> None:
+    """Add value to node's gradient: the first contribution is stored, later ones are added in place.
+
+    The first write adds 0.0, as adding value into zeros would: -0.0 becomes
+    +0.0. It goes to a new array of node's shape, which value broadcasts to,
+    since value may be another node's data or gradient. owned says value is
+    a new array of node's shape that nothing else holds: the first write
+    then adds 0.0 in place and keeps it, sparing an allocation.
+    """
+    if node.grad is None:
+        node.grad = np.add(value, 0.0, out=value if owned else np.empty(node.data.shape))
+    else:
+        node.grad += value
+
+
+@functools.lru_cache(maxsize=32)
+def _col2im_index(c_in: int, height: int, width: int, k_h: int, k_w: int, stride: int, padding: int) -> np.ndarray:
+    """For one sample, the flat cell of the unpadded input each patch-matrix entry reads.
+
+    Entries are in the patch matrix's (channel, ki, kj, oh, ow) order. A tap
+    that reads padding maps to one extra dump bin, c_in * height * width.
+    """
+    out_h = (height + 2 * padding - k_h) // stride + 1
+    out_w = (width + 2 * padding - k_w) // stride + 1
+    rows = (np.arange(k_h)[:, None] + stride * np.arange(out_h) - padding)[:, None, :, None]
+    cols = (np.arange(k_w)[:, None] + stride * np.arange(out_w) - padding)[None, :, None, :]
+    inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+    cells = height * width
+    channel = np.arange(c_in)[:, None, None, None, None] * cells
+    index = np.where(inside, channel + rows * width + cols, c_in * cells).astype(np.intp).reshape(-1)
+    index.flags.writeable = False
+    return index
 
 
 def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
@@ -165,10 +212,13 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeMismatchError(
             f"conv2d: kernel {k_h}x{k_w} exceeds padded input {height + 2 * padding}x{width + 2 * padding}"
         )
-    padded_shape = (batch, c_in, height + 2 * padding, width + 2 * padding)
     if padding:
-        padded = np.zeros(padded_shape)
-        padded[:, :, padding : padding + height, padding : padding + width] = x.data
+        # only the border needs zeros: the copy of x fills the rest
+        padded = np.empty((batch, c_in, height + 2 * padding, width + 2 * padding))
+        inner_rows = slice(padding, padding + height)
+        padded[:, :, :padding] = padded[:, :, padding + height :] = 0.0
+        padded[:, :, inner_rows, :padding] = padded[:, :, inner_rows, padding + width :] = 0.0
+        padded[:, :, inner_rows, padding : padding + width] = x.data
     else:
         padded = x.data
     # Channel-major im2col: per sample, the patch matrix is (c_in·kH·kW) × (oh·ow).
@@ -190,20 +240,25 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
 
         def _backward(grad: np.ndarray) -> None:
             if bias.requires_grad:
-                bias.grad += grad.sum(axis=(0, 2, 3))
+                _accumulate(bias, grad.sum(axis=(0, 2, 3)), owned=True)
             rows = grad.reshape(batch, c_out, out_h * out_w)
             if kernels.requires_grad:
-                kernels.grad += (rows @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape)
+                _accumulate(kernels, (rows @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape), owned=True)
             if x.requires_grad:
-                # col2im: scatter each tap's (B, C, oh, ow) block back onto the padded grid
-                d_cols = (flat_kernels.T @ rows).reshape(batch, c_in, k_h, k_w, out_h, out_w)
-                grad_padded = np.zeros(padded_shape)
-                for ki in range(k_h):
-                    for kj in range(k_w):
-                        grad_padded[
-                            :, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride
-                        ] += d_cols[:, :, ki, kj]
-                x.grad += grad_padded[:, :, padding : padding + height, padding : padding + width]
+                # col2im: each cell sums its taps from 0.0 in (ki, kj) order, as
+                # adding the taps' strided blocks into a zeroed grid did
+                d_cols = flat_kernels.T @ rows
+                index = _col2im_index(c_in, height, width, k_h, k_w, stride, padding)
+                cells = c_in * height * width
+                first = x.grad is None
+                if first:
+                    x.grad = np.empty(x.shape)
+                for sample, d_sample in zip(x.grad, d_cols):
+                    sums = np.bincount(index, d_sample.reshape(-1), minlength=cells + 1)[:cells]
+                    if first:
+                        sample[...] = sums.reshape(c_in, height, width)
+                    else:
+                        sample += sums.reshape(c_in, height, width)
 
         def _rerun(a: Tensor, k: Tensor, b: Tensor) -> Tensor:
             if a is not x:
@@ -228,7 +283,7 @@ def relu(x) -> Tensor:
         mask = x.data > 0
 
         def _backward(grad: np.ndarray) -> None:
-            x.grad += grad * mask
+            _accumulate(x, grad * mask, owned=True)
 
         _attach(out, "relu", (x,), _backward, relu)
     return out
@@ -249,8 +304,7 @@ def global_average_pool(x) -> Tensor:
 
         def _backward(grad: np.ndarray) -> None:
             # every cell receives exactly upstream / cells: divide once, broadcast
-            per_cell = grad / cells
-            x.grad += np.broadcast_to(per_cell[:, :, None, None], x.shape)
+            _accumulate(x, (grad / cells)[:, :, None, None])
 
         _attach(out, "global_average_pool", (x,), _backward, global_average_pool)
     return out
@@ -279,11 +333,11 @@ def dense(x, weights, bias) -> Tensor:
                 grad = grad[None, :]
             if x.requires_grad:
                 down = grad @ weights.data.T
-                x.grad += down[0] if one_d else down
+                _accumulate(x, down[0] if one_d else down, owned=True)
             if weights.requires_grad:
-                weights.grad += rows.T @ grad
+                _accumulate(weights, rows.T @ grad, owned=True)
             if bias.requires_grad:
-                bias.grad += grad.sum(axis=0)
+                _accumulate(bias, grad.sum(axis=0), owned=True)
 
         def _rerun(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
             # A replay folds its slots into a's rows, or stacks w as (slots,
@@ -328,7 +382,7 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
             grad_z[row_index, label_array] -= 1.0
             grad_z /= n
             grad_z *= grad
-            logits.grad += grad_z[0] if one_d else grad_z
+            _accumulate(logits, grad_z[0] if one_d else grad_z, owned=True)
 
         def _rerun(a: Tensor) -> Tensor:
             # One mean per slot that a replay folded into the rows. The labels
@@ -366,7 +420,7 @@ def dropout(x, rate: float, mode: str = "train", rng=None) -> Tensor:
     if _recording((x,)):
 
         def _backward(grad: np.ndarray) -> None:
-            x.grad += grad * keep * scale
+            _accumulate(x, grad * keep * scale, owned=True)
 
         # the mask came from rng, so a rerun would draw a different one
         _attach(out, "dropout", (x,), _backward, None)
@@ -383,6 +437,8 @@ def select(x, index: int) -> Tensor:
     if _recording((x,)):
 
         def _backward(grad: np.ndarray) -> None:
+            if x.grad is None:  # one element is written, so the rest must be zeros
+                x.grad = np.zeros(x.shape)
             x.grad.reshape(-1)[index] += float(grad)
 
         _attach(out, "select", (x,), _backward, None)  # a scalar has no slot axis to replay

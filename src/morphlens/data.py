@@ -223,7 +223,9 @@ def save_corpus(directory, corpus: list[LabeledImage]) -> None:
     Manifest columns: id, label, source_a, source_b, lambda (6 decimals);
     bona fide rows carry "-" in the blend columns. One newline-terminated
     row per image, no header, rows in corpus order; an empty corpus writes an
-    empty manifest, which load_corpus reads back as an empty corpus.
+    empty manifest, which load_corpus reads back as an empty corpus. Images
+    an earlier, larger corpus left there (NNNN.ppm past the new counts) are
+    deleted, so the directory matches its manifest; no other name is touched.
     """
     root = Path(directory)
     (root / "bonafide").mkdir(parents=True, exist_ok=True)
@@ -241,6 +243,11 @@ def save_corpus(directory, corpus: list[LabeledImage]) -> None:
         else:
             rows.append(f"{sample.uid}\t0\t-\t-\t-")
     (root / "manifest.tsv").write_text("".join(f"{row}\n" for row in rows), encoding="ascii")
+    for label, sub in ((0, "bonafide"), (1, "morph")):
+        for path in (root / sub).glob("*.ppm"):
+            index = int(path.stem) if path.stem.isascii() and path.stem.isdigit() else -1
+            if index >= counters[label] and path.name == f"{index:04d}.ppm":
+                path.unlink()
 
 
 def load_corpus(directory) -> list[LabeledImage]:

@@ -557,13 +557,21 @@ def train(
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if learning_rate <= 0:
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+    if not 0 < learning_rate < math.inf:
+        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
     inputs = np.stack([preprocess(sample.image, model.input_resolution) for sample in dataset])
     labels = np.array([sample.label for sample in dataset], dtype=np.int64)
     if not np.isin(labels, (0, 1)).all():
         raise DataError("labels must be 0 (bona fide) or 1 (morphed)")
     params = [tensor for _, tensor in model.parameters()]
+    # A step allocates and frees the same few blocks of several MB. glibc gives
+    # a freed heap top back to the OS once it exceeds twice the largest
+    # mmap-sized block freed so far (mallopt(3)), so with one tape alive at a
+    # time each step would fault its pages in anew: 116k minor faults in a
+    # fresh process's default train, against 11k. Freeing one untouched
+    # 16 MiB block lifts that limit for the rest of the process, as in
+    # gradient_check.
+    np.empty(1 << 21)
     dropout_rng = Lcg(derive_seed(seed, _DROPOUT_STREAM))
     n = len(dataset)
     pools = [np.flatnonzero(labels == c).tolist() for c in (0, 1)]
@@ -580,7 +588,7 @@ def train(
             total = 0.0
             for start in range(0, n, batch_size):
                 batch = order[start : start + batch_size]
-                logits, _ = model.forward(Tensor(inputs[batch]), train=True, rng=dropout_rng)
+                logits = model.forward(Tensor(inputs[batch]), train=True, rng=dropout_rng)[0]
                 loss = softmax_cross_entropy(logits, labels[batch])
                 step_loss = float(loss.data)
                 if not math.isfinite(step_loss):
@@ -594,6 +602,8 @@ def train(
                     if grad is not None:
                         tensor.data -= learning_rate * grad
                 total += step_loss * len(batch)
+                # the step's tape and gradients go before the next forward builds its own
+                del logits, loss, store
             losses.append(total / n)
     for name, tensor in model.parameters():
         if not np.isfinite(tensor.data).all():

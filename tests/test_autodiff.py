@@ -9,9 +9,11 @@ import pytest
 from morphlens import autodiff
 from morphlens.autodiff import (
     Tensor,
+    _accumulate,
     _as_tensor,
     _attach,
     _recording,
+    _tape_order,
     backward,
     conv2d,
     dense,
@@ -34,7 +36,8 @@ def leaf(values):
 
 # Two small taped ops that only the tests need: they turn an op's output into
 # a scalar loss with a chosen upstream gradient. Each reruns as itself, so
-# gradient_check can replay tapes that end in them.
+# gradient_check can replay tapes that end in them, and each hands its
+# gradients to _accumulate as the library's ops do.
 
 
 def reduce_sum(x) -> Tensor:
@@ -44,7 +47,7 @@ def reduce_sum(x) -> Tensor:
     if _recording((x,)):
 
         def _backward(grad: np.ndarray) -> None:
-            x.grad += grad
+            _accumulate(x, grad)
 
         _attach(out, "reduce_sum", (x,), _backward, reduce_sum)
     return out
@@ -60,9 +63,9 @@ def multiply(a, b) -> Tensor:
 
         def _backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a.grad += grad * b.data
+                _accumulate(a, grad * b.data)
             if b.requires_grad:
-                b.grad += grad * a.data
+                _accumulate(b, grad * a.data)
 
         _attach(out, "multiply", (a, b), _backward, multiply)
     return out
@@ -241,6 +244,50 @@ def test_conv2d_backward_matches_tap_loop(batch, c_in, height, width, c_out, k_h
             assert relative_error(store[tensor], expected[name]) <= 1e-12, name
         else:
             assert tensor not in store
+
+
+def tap_loop_input_grad(x_shape, kernels, grad, stride, padding):
+    """conv2d's input gradient as a zeroed, padded grid that each tap's strided block is added into, then cropped."""
+    batch, c_in, height, width = x_shape
+    c_out, _, k_h, k_w = kernels.shape
+    _, _, out_h, out_w = grad.shape
+    d_cols = kernels.reshape(c_out, -1).T @ grad.reshape(batch, c_out, out_h * out_w)
+    d_cols = d_cols.reshape(batch, c_in, k_h, k_w, out_h, out_w)
+    padded = np.zeros((batch, c_in, height + 2 * padding, width + 2 * padding))
+    for ki in range(k_h):
+        for kj in range(k_w):
+            padded[:, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride] += d_cols[:, :, ki, kj]
+    return padded[:, :, padding : padding + height, padding : padding + width]
+
+
+@pytest.mark.parametrize(
+    "batch, c_in, height, width, c_out, k_h, k_w, stride, padding",
+    [
+        (1, 3, 9, 9, 4, 3, 3, 1, 1),
+        (32, 3, 16, 16, 8, 3, 3, 2, 1),
+        (1, 2, 11, 7, 3, 3, 3, 3, 2),
+        (32, 2, 10, 13, 4, 3, 3, 3, 0),
+        (2, 3, 8, 6, 5, 3, 2, 2, 2),
+        (2, 3, 9, 7, 4, 3, 3, 2, 1),
+        (12, 3, 9, 7, 4, 3, 3, 2, 1),
+    ],
+)
+def test_conv2d_input_gradient_bits_match_the_tap_loop(batch, c_in, height, width, c_out, k_h, k_w, stride, padding):
+    rng = np.random.default_rng(batch * 1000 + height * 10 + stride)
+    x = Tensor(rng.normal(size=(batch, c_in, height, width)), requires_grad=True)
+    kernels = rng.normal(size=(c_out, c_in, k_h, k_w))
+    out = conv2d(x, kernels, np.zeros(c_out), stride, padding)
+    upstream = rng.normal(size=out.shape)
+    upstream.reshape(-1)[::7] = -0.0
+    upstream[-1] = -0.0  # a whole sample of -0.0 upstream
+    expected = tap_loop_input_grad(x.shape, kernels, upstream, stride, padding)
+    out.grad = upstream
+    out._backward()  # the first contribution: the tap loop added into zeros
+    assert (np.zeros(x.shape) + expected).tobytes() == x.grad.tobytes()
+    earlier = rng.normal(size=x.shape)
+    x.grad = earlier.copy()
+    out._backward()  # a later contribution is added in place
+    assert (earlier + expected).tobytes() == x.grad.tobytes()
 
 
 @pytest.mark.parametrize("batch", [1, 32])
@@ -553,6 +600,74 @@ def test_backward_accumulates_through_shared_node():
     loss = reduce_sum(multiply(y, y))  # both factors share the same node
     store = backward(loss)
     assert np.array_equal(store[x], [4.0])
+
+
+def zero_fill_backward(loss):
+    """Every tape node's gradient under the rule of zeroing them all first and adding each contribution into them."""
+    order = _tape_order(loss)
+    for node in order:
+        node.grad = np.zeros_like(node.data)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward()
+    return [node.grad.tobytes() for node in order]
+
+
+def first_of(a, b) -> Tensor:
+    """A copy of a that passes no gradient to b."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = Tensor(a.data.copy())
+    if _recording((a, b)):
+
+        def _backward(grad: np.ndarray) -> None:
+            _accumulate(a, grad)
+
+        _attach(out, "first_of", (a, b), _backward, None)
+    return out
+
+
+def two_consumer_loss():
+    rng = np.random.default_rng(11)
+    x = leaf(rng.normal(size=(2, 2, 6, 6)))
+    k1, k2 = leaf(rng.normal(size=(3, 2, 3, 3))), leaf(rng.normal(size=(3, 3, 3, 3)))
+    b = leaf(rng.normal(size=3))
+    hidden = relu(conv2d(x, k1, b, 1, 1))
+    # x reaches the loss through two convs and hidden through a conv and a pool
+    deep = relu(conv2d(hidden, k2, b, 2, 1))
+    side = conv2d(x, k1, b, 2, 0)
+    pooled = global_average_pool(hidden)
+    features = dropout(global_average_pool(deep), 0.5, "train", Lcg(4))
+    w = leaf(rng.normal(size=(3, 2)))
+    logits = dense(features, w, leaf([0.0, -0.0]))
+    return softmax_cross_entropy(multiply(logits, dense(pooled, w, leaf([1.0, 2.0]))), [0, 1]), side
+
+
+def select_loss():
+    rng = np.random.default_rng(12)
+    v = relu(leaf(rng.normal(size=(3, 4))))
+    return reduce_sum(multiply(select(v, 1), select(v, 6))), v
+
+
+def no_contribution_loss():
+    a, hidden = leaf([1.5, -2.0]), relu(leaf([-1.0, 3.0]))
+    return reduce_sum(multiply(first_of(a, hidden), a)), hidden
+
+
+@pytest.mark.parametrize("make_loss", [two_consumer_loss, select_loss, no_contribution_loss])
+def test_backward_matches_zero_fill_then_add(make_loss):
+    loss, _ = make_loss()
+    backward(loss)
+    first_writes = [node.grad.tobytes() for node in _tape_order(loss)]
+    assert first_writes == zero_fill_backward(loss)
+
+
+def test_backward_gives_zeros_to_a_node_without_a_contribution():
+    loss, hidden = no_contribution_loss()
+    a, inner = loss._parents[0]._parents[1], hidden._parents[0]
+    store = backward(loss)
+    assert np.array_equal(store[a], [3.0, -4.0])  # d(a·a)/da
+    assert hidden.grad.tobytes() == store[inner].tobytes() == np.zeros(2).tobytes()
 
 
 def test_backward_rejects_non_scalar():
@@ -955,7 +1070,7 @@ def stale_last_slot(x) -> Tensor:
     if _recording((x,)):
 
         def _backward(grad: np.ndarray) -> None:
-            x.grad += grad
+            _accumulate(x, grad)
 
         recorded = x.data.copy()
 

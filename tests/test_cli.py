@@ -449,8 +449,27 @@ def refuse_draws(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("drew from the LCG")
 
-    for name in ("next_u32", "normal_array", "uniform"):
+    # uniform_array advances the state itself, without next_u32
+    for name in ("next_u32", "normal_array", "uniform", "uniform_array"):
         monkeypatch.setattr(Lcg, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("next_u32", ()),
+        ("uniform", ()),
+        ("randint", (3,)),
+        ("normal", ()),
+        ("shuffle", ([1, 2, 3],)),
+        ("uniform_array", (4,)),
+        ("normal_array", (4,)),
+    ],
+)
+def test_refuse_draws_catches_every_draw(monkeypatch, name, args):
+    refuse_draws(monkeypatch)
+    with pytest.raises(AssertionError, match="drew from the LCG"):
+        getattr(Lcg(1), name)(*args)
 
 
 def test_loading_a_checkpoint_draws_nothing_and_rebuilds_the_trained_model(capsys, monkeypatch):

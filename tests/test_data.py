@@ -266,6 +266,20 @@ def test_corpus_round_trip(tmp_path):
             assert copy.provenance.lam == pytest.approx(original.provenance.lam, abs=1e-6)
 
 
+def test_saving_a_smaller_corpus_leaves_the_directory_matching_its_manifest(tmp_path):
+    save_corpus(tmp_path, build_corpus(6, 6, seed=1, resolution=16))
+    others = ["bonafide/notes.txt", "bonafide/0001.png", "morph/00009.ppm", "morph/12.ppm", "morph/0005.ppm.bak"]
+    for name in others:
+        (tmp_path / name).write_bytes(b"kept")
+    save_corpus(tmp_path, build_corpus(3, 2, seed=1, resolution=16))
+    labels = [line.split("\t")[1] for line in (tmp_path / "manifest.tsv").read_text(encoding="ascii").splitlines()]
+    for sub, label in (("bonafide", "0"), ("morph", "1")):
+        images = sorted(path.name for path in (tmp_path / sub).glob("[0-9][0-9][0-9][0-9].ppm"))
+        assert images == [f"{index:04d}.ppm" for index in range(labels.count(label))]
+    assert all((tmp_path / name).read_bytes() == b"kept" for name in others)
+    assert len(load_corpus(tmp_path)) == 5
+
+
 def test_load_corpus_errors(tmp_path):
     with pytest.raises(DataError):
         load_corpus(tmp_path)

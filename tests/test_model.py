@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -306,6 +307,32 @@ def test_train_errors():
         train(model, [face], epochs=1, batch_size=0, seed=1)
     with pytest.raises(ValueError):
         train(model, [face], epochs=1, learning_rate=0.0, seed=1)
+
+
+def test_train_frees_each_step_tape_before_the_next_forward(monkeypatch):
+    model = build_model(default_plan(), 1)
+    steps = []
+
+    def forward(x, train=False, rng=None):
+        if train:  # no earlier step's tape is still alive
+            assert all(logits() is None for logits in steps)
+        logits, activations = CnnModel.forward(model, x, train, rng)
+        if train:
+            steps.append(weakref.ref(logits))
+        return logits, activations
+
+    monkeypatch.setattr(model, "forward", forward)
+    train(model, build_corpus(4, 4, seed=1, resolution=64), epochs=1, batch_size=2, seed=1)
+    assert len(steps) == 4
+
+
+@pytest.mark.parametrize("learning_rate", [math.nan, math.inf])
+def test_train_refuses_a_non_finite_learning_rate_before_any_step(learning_rate):
+    model = build_model(default_plan(), 1)
+    before = [tensor.data.copy() for _, tensor in model.parameters()]
+    with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+        train(model, build_corpus(4, 4, seed=1, resolution=64), epochs=1, learning_rate=learning_rate, seed=1)
+    assert all(np.array_equal(tensor.data, old) for (_, tensor), old in zip(model.parameters(), before))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,6 +1,7 @@
 """Seeded LCG streams and the hashed per-pixel noise field."""
 
 import numpy as np
+import pytest
 
 from morphlens.rng import Lcg, derive_seed, noise_grid
 
@@ -52,6 +53,16 @@ def test_uniform_array_shape_and_range():
     values = Lcg(5).uniform_array((7, 3), 10.0, 12.0)
     assert values.shape == (7, 3)
     assert ((values >= 10.0) & (values < 12.0)).all()
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 511, 512, 513])
+def test_uniform_array_equals_the_scalar_draws_and_leaves_the_same_state(count):
+    for seed, low, high in ((0, 0.0, 1.0), (7, -2.5, 7.25), (2**32 - 1, 10.0, 12.0)):
+        vector, scalar = Lcg(seed), Lcg(seed)
+        values = vector.uniform_array((count,), low, high)
+        expected = np.array([scalar.uniform(low, high) for _ in range(count)], dtype=np.float64)
+        assert values.tobytes() == expected.tobytes()
+        assert vector.state == scalar.state
 
 
 def test_noise_grid_deterministic():
