@@ -9,7 +9,7 @@ nonzero; completed commands exit 0 with byte-deterministic outputs.
 from __future__ import annotations
 
 import argparse
-import math
+import functools
 import os
 import sys
 from pathlib import Path
@@ -75,6 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: built on the first `main` call, not at import.
+
+    Parsing changes no parser state, so every later call reuses it.
+    """
+    return build_parser()
+
+
 def resolve_config(ns: argparse.Namespace) -> RunConfig:
     cfg = load_config(ns.config) if ns.config else RunConfig()
     for key in CONFIG_KEYS:
@@ -87,6 +96,7 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
             cfg.seed = int(env_seed)
         except ValueError:
             raise CliError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from None
+    cfg.validate()
     return cfg
 
 
@@ -138,12 +148,6 @@ def cmd_gen_data(cfg: RunConfig, ns: argparse.Namespace) -> int:
 
 
 def cmd_train(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    if cfg.epochs < 0:
-        raise CliError(f"epochs must be >= 0, got {cfg.epochs}")
-    if cfg.batch_size < 1:
-        raise CliError(f"batch-size must be >= 1, got {cfg.batch_size}")
-    if not 0.0 < cfg.learning_rate < math.inf:
-        raise CliError(f"learning-rate must be positive and finite, got {cfg.learning_rate!r}")
     ckpt = Path(cfg.checkpoint)
     _check_checkpoint_writable(ckpt)
     corpus = load_corpus(cfg.corpus_dir)
@@ -192,11 +196,10 @@ def cmd_explain(cfg: RunConfig, ns: argparse.Namespace) -> int:
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = _tensor_to_rgb(tensor)
-    named = [("saliency", sal), ("cam", cam_n), ("gradcam", gc_n), ("ensemble", result.combined)]
-    for name, heatmap in named:
+    maps = (sal, cam_n, gc_n, result.combined)
+    overlays = superimpose(_tensor_to_rgb(tensor), colorize(maps), OVERLAY_ALPHA)
+    for name, heatmap, overlay in zip(("saliency", "cam", "gradcam", "ensemble"), maps, overlays):
         write_heatmap(out_dir / f"{name}.xhm", heatmap)
-        overlay = superimpose(base, colorize(heatmap), OVERLAY_ALPHA)
         (out_dir / f"{name}.ppm").write_bytes(encode_ppm(overlay))
     (out_dir / "ensemble_vec.xhm").write_bytes(encode_feature_vector(result.feature_vector, res, res))
     print(f"wrote 4 overlays, 4 heatmaps, and the feature vector to {out_dir}")
@@ -226,8 +229,7 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         cfg = resolve_config(ns)
         return _DISPATCH[ns.command](cfg, ns)

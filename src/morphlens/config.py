@@ -9,10 +9,11 @@ ensemble weights are one comma-separated triple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import CliError, FormatError
 
 
 @dataclass
@@ -35,6 +36,17 @@ class RunConfig:
     corpus_dir: str = "corpus"
     checkpoint: str = "model.ckpt"
     output_dir: str = "out"
+
+    def validate(self) -> None:
+        """Refuse a schedule or corpus size no command can run with; raises CliError."""
+        if self.epochs < 0:
+            raise CliError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise CliError(f"batch-size must be >= 1, got {self.batch_size}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise CliError(f"learning-rate must be positive and finite, got {self.learning_rate!r}")
+        if self.n_bonafide < 0 or self.n_morphed < 0:
+            raise CliError("corpus sizes must be non-negative")
 
 
 _KINDS: dict[str, str] = {}

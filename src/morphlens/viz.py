@@ -7,6 +7,7 @@ and the codecs write the canonical uncompressed netpbm layout: magic line,
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,27 +46,43 @@ def _to_byte(unit_values: np.ndarray) -> np.ndarray:
     return np.floor(255.0 * unit_values + 0.5).astype(np.uint8)
 
 
-def colorize(heatmap) -> RgbImage:
-    """Map a normalized heatmap onto a blue (0) -> green (0.5) -> red (1) ramp."""
-    if not heatmap.normalized:
+def colorize(heatmaps: Sequence) -> tuple[RgbImage, ...]:
+    """Map normalized heatmaps onto a blue (0) -> green (0.5) -> red (1) ramp.
+
+    The same-size maps are stacked on a leading axis and colorized in one
+    pass, one RgbImage each; a lone map is the one-map stack.
+    """
+    maps = tuple(heatmaps)
+    if not maps or any(m.values.shape != maps[0].values.shape for m in maps):
+        raise ImageError("colorize needs one or more heatmaps of one size")
+    if not all(m.normalized for m in maps):
         raise ImageError("colorize needs a normalized heatmap")
-    v = heatmap.values
+    v = np.stack([m.values for m in maps])
     red = np.clip(2.0 * v - 1.0, 0.0, 1.0)
     green = 1.0 - np.abs(2.0 * v - 1.0)
     blue = np.clip(1.0 - 2.0 * v, 0.0, 1.0)
-    return RgbImage(np.stack([_to_byte(red), _to_byte(green), _to_byte(blue)], axis=-1))
+    pixels = np.stack([_to_byte(red), _to_byte(green), _to_byte(blue)], axis=-1)
+    return tuple(RgbImage(p) for p in pixels)
 
 
-def superimpose(base: RgbImage, heat: RgbImage, alpha: float = 0.4) -> RgbImage:
-    """Per-channel blend round((1 - alpha) * base + alpha * heat)."""
-    if base.pixels.shape != heat.pixels.shape:
-        raise ImageError(
-            f"superimpose: base {base.height}x{base.width} and heat {heat.height}x{heat.width} differ"
-        )
+def superimpose(base: RgbImage, heats: Sequence[RgbImage], alpha: float = 0.4) -> tuple[RgbImage, ...]:
+    """Per-channel blend round((1 - alpha) * base + alpha * heat) of each heat.
+
+    The heats are stacked and blended onto base in one pass, one RgbImage each.
+    """
+    heats = tuple(heats)
+    if not heats:
+        raise ImageError("superimpose needs at least one heat image")
+    for h in heats:
+        if base.pixels.shape != h.pixels.shape:
+            raise ImageError(
+                f"superimpose: base {base.height}x{base.width} and heat {h.height}x{h.width} differ"
+            )
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    mixed = (1.0 - alpha) * base.pixels.astype(np.float64) + alpha * heat.pixels.astype(np.float64)
-    return RgbImage(np.floor(mixed + 0.5).astype(np.uint8))
+    stacked = np.stack([h.pixels for h in heats]).astype(np.float64)
+    mixed = (1.0 - alpha) * base.pixels.astype(np.float64) + alpha * stacked
+    return tuple(RgbImage(p) for p in np.floor(mixed + 0.5).astype(np.uint8))
 
 
 def _parse_netpbm(data: bytes, magic: bytes, channels: int) -> tuple[int, int, bytes]:

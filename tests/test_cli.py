@@ -159,6 +159,23 @@ def test_train_rejects_bad_hyperparameters_before_reading_corpus(capsys, flag, v
     assert not Path("model.ckpt").exists()
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "explain"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--epochs", "-1", "epochs must be >= 0, got -1"),
+        ("--batch-size", "0", "batch-size must be >= 1, got 0"),
+        ("--learning-rate", "inf", "learning-rate must be positive and finite, got inf"),
+        ("--n-bonafide", "-3", "corpus sizes must be non-negative"),
+        ("--n-morphed", "-1", "corpus sizes must be non-negative"),
+    ],
+)
+def test_a_bad_schedule_or_corpus_size_is_one_error_line_for_every_command(capsys, command, flag, value, message):
+    code, out, err = run(capsys, command, "--config", "run.cfg", *COMMANDS[command], flag, value)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert sorted(Path(".").iterdir()) == [Path("run.cfg")]
+
+
 @pytest.mark.parametrize("checkpoint", ["a_directory", "a_file/m.ckpt"])
 def test_train_refuses_an_unwritable_checkpoint_before_reading_corpus(capsys, checkpoint):
     # no corpus exists: the path must be refused first, in one error line
@@ -445,6 +462,27 @@ def test_explain_runs_one_forward_and_one_backward(capsys, monkeypatch):
     assert calls == {"forward": 1, "backward": 1}
 
 
+def test_explain_colorizes_and_blends_the_four_maps_in_one_call(capsys, monkeypatch):
+    image = run_chain(capsys, "gen-data", "train")
+    calls = []
+
+    def recording(name, fn):
+        def recorded(*args, **kwargs):
+            calls.append((name, args))
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    monkeypatch.setattr(cli, "colorize", recording("colorize", cli.colorize))
+    monkeypatch.setattr(cli, "superimpose", recording("superimpose", cli.superimpose))
+    code, _, err = run(capsys, "explain", "--config", "run.cfg", "--image", str(image))
+    assert code == 0, err
+    assert [name for name, _ in calls] == ["colorize", "superimpose"]
+    (_, (maps,)), (_, (_, heats, _)) = calls
+    assert [m.method for m in maps] == ["saliency", "cam", "gradcam", "ensemble"]
+    assert len(heats) == 4
+
+
 def refuse_draws(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("drew from the LCG")
@@ -636,6 +674,71 @@ def test_every_command_exits_2_on_an_unknown_flag(command, capsys):
         main([command, *COMMANDS[command], "--no-such-flag"])
     assert info.value.code == 2
     assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+
+# one parser per process
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every command records its resolved config and namespace instead of running."""
+    calls = []
+
+    def record(cfg, ns):
+        calls.append((cfg, ns))
+        return 0
+
+    for command in cli._DISPATCH:
+        monkeypatch.setitem(cli._DISPATCH, command, record)
+    return calls
+
+
+def test_a_flag_of_one_call_does_not_leak_into_the_next(recorded):
+    assert main(["explain", "--image", "a.ppm", "--target-class", "0", "--seed", "7", "--epochs", "1"]) == 0
+    assert main(["explain", "--image", "b.ppm"]) == 0
+    assert main(["gen-data"]) == 0
+    (first_cfg, first), (second_cfg, second), (third_cfg, third) = recorded
+    assert (first.target_class, first_cfg.seed, first_cfg.epochs) == (0, 7, 1)
+    assert (second.image, second.target_class, second_cfg.seed, second_cfg.epochs) == ("b.ppm", 1, 1, 5)
+    assert vars(third_cfg) == vars(RunConfig())
+    assert not hasattr(third, "image")
+
+
+def test_the_seed_variable_is_read_on_every_call(recorded, monkeypatch):
+    for value in ("5", "6"):
+        monkeypatch.setenv("MORPHLENS_SEED", value)
+        assert main(["gen-data", "--seed", "9"]) == 0
+    monkeypatch.delenv("MORPHLENS_SEED")
+    assert main(["gen-data"]) == 0
+    assert [cfg.seed for cfg, _ in recorded] == [5, 6, 1]
+
+
+def test_an_unknown_flag_exits_2_after_a_successful_call(recorded, capsys):
+    assert main(["gen-data", "--seed", "2"]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["gen-data", "--no-such-flag"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert main(["gen-data"]) == 0
+    assert [cfg.seed for cfg, _ in recorded] == [2, 1]
+
+
+def test_main_builds_its_parser_once_per_process(recorded, monkeypatch):
+    built, real = [], cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for command in sorted(COMMANDS) * 2:
+            assert main([command, *COMMANDS[command]]) == 0
+    finally:
+        cli._parser.cache_clear()  # the next call builds with the real build_parser
+    assert len(built) == 1
+    assert len(recorded) == 2 * len(COMMANDS)
 
 
 # config precedence and env seed

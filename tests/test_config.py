@@ -10,7 +10,7 @@ from morphlens.config import (
     parse_config,
     parse_value,
 )
-from morphlens.errors import FormatError
+from morphlens.errors import CliError, FormatError
 
 
 def test_defaults_match_training_contract():
@@ -95,3 +95,27 @@ def test_load_config_file(tmp_path):
     assert cfg.base_resolution == 16
     with pytest.raises(FormatError):
         load_config(tmp_path / "absent.cfg")
+
+
+def test_validate_accepts_the_defaults_and_the_edge_values():
+    RunConfig().validate()
+    RunConfig(epochs=0, batch_size=1, learning_rate=5e-324, n_bonafide=0, n_morphed=0).validate()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("epochs", -1, "epochs must be >= 0, got -1"),
+        ("batch_size", 0, "batch-size must be >= 1, got 0"),
+        ("learning_rate", 0.0, "learning-rate must be positive and finite, got 0.0"),
+        ("learning_rate", -0.5, "learning-rate must be positive and finite, got -0.5"),
+        ("learning_rate", float("nan"), "learning-rate must be positive and finite, got nan"),
+        ("learning_rate", float("inf"), "learning-rate must be positive and finite, got inf"),
+        ("n_bonafide", -3, "corpus sizes must be non-negative"),
+        ("n_morphed", -1, "corpus sizes must be non-negative"),
+    ],
+)
+def test_validate_refuses_a_bad_schedule_or_corpus_size(key, value, message):
+    with pytest.raises(CliError) as info:
+        RunConfig(**{key: value}).validate()
+    assert str(info.value) == message
