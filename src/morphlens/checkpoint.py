@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import write_file
 from .errors import FormatError
 
 MAGIC = b"MLNS1\n"
@@ -67,7 +68,7 @@ def decode_params(data: bytes) -> list[tuple[str, np.ndarray]]:
 
 
 def save_params(path, named: Sequence[tuple[str, np.ndarray]]) -> None:
-    Path(path).write_bytes(encode_params(named))
+    write_file(path, encode_params(named))
 
 
 def load_params(path) -> list[tuple[str, np.ndarray]]:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_params, save_params
-from .config import CONFIG_KEYS, RunConfig, load_config, parse_value
+from .config import CONFIG_KEYS, RunConfig, load_config, parse_value, write_file
 from .data import build_corpus, load_corpus, preprocess, save_corpus, split
 from .errors import CliError, MorphLensError
 from .explain import (
@@ -31,13 +31,11 @@ from .explain import (
 from .explain import cam, gradcam, saliency_map  # noqa: F401 -- names the benchmark tracer patches
 from .metrics import compute_metrics, confusion, format_report
 from .model import (
-    PLAN_KEYS,
     CnnModel,
     build_model,
     dump_layer_activations,
     load_plan_sidecar,
     model_shapes,
-    plan_scaling,
     predict,
     save_plan_sidecar,
     train,
@@ -100,10 +98,6 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _plan(cfg: RunConfig):
-    return plan_scaling(**{key: getattr(cfg, key) for key in PLAN_KEYS}, tau=cfg.tau)
-
-
 def _sidecar_path(checkpoint_path: str) -> Path:
     return Path(str(checkpoint_path) + ".plan")
 
@@ -151,7 +145,7 @@ def cmd_train(cfg: RunConfig, ns: argparse.Namespace) -> int:
     ckpt = Path(cfg.checkpoint)
     _check_checkpoint_writable(ckpt)
     corpus = load_corpus(cfg.corpus_dir)
-    plan = _plan(cfg)
+    plan = cfg.plan()
     model = build_model(plan, cfg.seed)
     part = split(corpus, SPLIT_RATIO, cfg.seed)
     report = train(model, part.train, cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.seed)
@@ -179,7 +173,7 @@ def cmd_eval(cfg: RunConfig, ns: argparse.Namespace) -> int:
     text = format_report(compute_metrics(confusion(predictions, labels)))
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.txt").write_text(text, encoding="ascii")
+    write_file(out_dir / "metrics.txt", text.encode("ascii"))
     print(text, end="")
     return 0
 
@@ -200,8 +194,8 @@ def cmd_explain(cfg: RunConfig, ns: argparse.Namespace) -> int:
     overlays = superimpose(_tensor_to_rgb(tensor), colorize(maps), OVERLAY_ALPHA)
     for name, heatmap, overlay in zip(("saliency", "cam", "gradcam", "ensemble"), maps, overlays):
         write_heatmap(out_dir / f"{name}.xhm", heatmap)
-        (out_dir / f"{name}.ppm").write_bytes(encode_ppm(overlay))
-    (out_dir / "ensemble_vec.xhm").write_bytes(encode_feature_vector(result.feature_vector, res, res))
+        write_file(out_dir / f"{name}.ppm", encode_ppm(overlay))
+    write_file(out_dir / "ensemble_vec.xhm", encode_feature_vector(result.feature_vector, res, res))
     print(f"wrote 4 overlays, 4 heatmaps, and the feature vector to {out_dir}")
     return 0
 
@@ -214,7 +208,7 @@ def cmd_dump_layer(cfg: RunConfig, ns: argparse.Namespace) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"layer_{ns.layer_index:02d}.pgm"
-    path.write_bytes(encode_pgm(grid))
+    write_file(path, encode_pgm(grid))
     print(f"layer {ns.layer_index} activation shape {tuple(activation.shape)} -> {path}")
     return 0
 

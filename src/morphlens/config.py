@@ -5,11 +5,14 @@ this syntax: one key=value pair per line, blank lines and # comments
 skipped, spaces around key and value ignored, a later key winning. Floats
 are printed with repr so parse(format(cfg)) == cfg bit-for-bit; the
 ensemble weights are one comma-separated triple.
+
+Every artifact, text or binary, is written by write_file.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -38,7 +41,15 @@ class RunConfig:
     output_dir: str = "out"
 
     def validate(self) -> None:
-        """Refuse a schedule or corpus size no command can run with; raises CliError."""
+        """Refuse a value no command can run with, before a corpus, checkpoint or image is read.
+
+        The plan's and the ensemble weights' checks are the ones train and
+        explain apply, so each message matches theirs; raises MorphLensError.
+        """
+        # data and explain import this module, so they are imported here.
+        from .data import MAX_RESOLUTION
+        from .explain import check_weights
+
         if self.epochs < 0:
             raise CliError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -47,6 +58,17 @@ class RunConfig:
             raise CliError(f"learning-rate must be positive and finite, got {self.learning_rate!r}")
         if self.n_bonafide < 0 or self.n_morphed < 0:
             raise CliError("corpus sizes must be non-negative")
+        if self.base_resolution > MAX_RESOLUTION:
+            message = f"base resolution {self.base_resolution} is above the {MAX_RESOLUTION}-pixel maximum"
+            raise CliError(message)
+        self.plan()
+        check_weights(self.ensemble_weights)
+
+    def plan(self):
+        """The scaling plan of phi, the coefficients and the base sizes; raises PlanConstraintError."""
+        from .model import PLAN_KEYS, plan_scaling  # model imports this module
+
+        return plan_scaling(**{key: getattr(self, key) for key in PLAN_KEYS}, tau=self.tau)
 
 
 _KINDS: dict[str, str] = {}
@@ -121,6 +143,26 @@ def read_text(path, kind: str) -> str:
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise FormatError(f"{kind} {target} is not ASCII text: byte {byte:#04x} at offset {exc.start}") from None
+
+
+def write_file(path, data: bytes) -> None:
+    """Write data as path's whole content; a directory at path raises OSError.
+
+    A new file costs one exclusive create. An existing one is emptied on a
+    descriptor of its own, closed before the write: ext4 (auto_da_alloc)
+    starts writeback when a descriptor that truncated a file is closed, and
+    the next truncate of that file then waits for it. The file, its links
+    and its mode are kept, and a symlink is written through. Nothing is
+    fsynced: after a crash the file may be empty, never new bytes on an old
+    tail.
+    """
+    try:
+        handle = open(path, "xb")
+    except FileExistsError:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
+        handle = open(path, "r+b")
+    with handle:
+        handle.write(data)
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:

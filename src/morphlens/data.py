@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import write_file
 from .errors import DataError
 from .resample import bilinear_resize
 from .rng import Lcg, derive_seed, noise_grid
@@ -236,13 +237,13 @@ def save_corpus(directory, corpus: list[LabeledImage]) -> None:
         sub = "bonafide" if sample.label == 0 else "morph"
         index = counters[sample.label]
         counters[sample.label] += 1
-        (root / sub / f"{index:04d}.ppm").write_bytes(encode_ppm(sample.image))
+        write_file(root / sub / f"{index:04d}.ppm", encode_ppm(sample.image))
         if sample.label == 1:
             p = sample.provenance
             rows.append(f"{sample.uid}\t1\t{p.source_a}\t{p.source_b}\t{p.lam:.6f}")
         else:
             rows.append(f"{sample.uid}\t0\t-\t-\t-")
-    (root / "manifest.tsv").write_text("".join(f"{row}\n" for row in rows), encoding="ascii")
+    write_file(root / "manifest.tsv", "".join(f"{row}\n" for row in rows).encode("ascii"))
     for label, sub in ((0, "bonafide"), (1, "morph")):
         for path in (root / sub).glob("*.ppm"):
             index = int(path.stem) if path.stem.isascii() and path.stem.isdigit() else -1

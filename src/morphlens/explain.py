@@ -31,6 +31,7 @@ import numpy as np
 from pathlib import Path
 
 from .autodiff import Tensor, backward, select
+from .config import write_file
 from .errors import (
     ArchitectureError,
     ExplainError,
@@ -245,6 +246,21 @@ def upsample(heatmap: Heatmap, height: int, width: int) -> Heatmap:
     )
 
 
+def check_weights(weights) -> np.ndarray:
+    """Three finite, non-negative ensemble weights summing to 1, scaled to sum exactly 1."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (3,):
+        raise ExplainError(f"ensemble needs exactly 3 weights, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ExplainError(f"ensemble weights must be finite, got {tuple(w.tolist())}")
+    if (w < 0).any():
+        raise ExplainError(f"ensemble weights must be non-negative, got {tuple(w.tolist())}")
+    total = float(w.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ExplainError(f"ensemble weights must sum to 1, got {total!r}")
+    return w / total
+
+
 def ensemble(
     saliency: Heatmap,
     cam_map: Heatmap,
@@ -264,17 +280,7 @@ def ensemble(
     if any(m.values.shape != shape for m in maps):
         sizes = ", ".join(f"{m.method} {m.height}x{m.width}" for m in maps)
         raise ResolutionMismatchError(f"ensemble maps differ in size: {sizes}")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (3,):
-        raise ExplainError(f"ensemble needs exactly 3 weights, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise ExplainError(f"ensemble weights must be finite, got {tuple(w.tolist())}")
-    if (w < 0).any():
-        raise ExplainError(f"ensemble weights must be non-negative, got {tuple(w.tolist())}")
-    total = float(w.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ExplainError(f"ensemble weights must sum to 1, got {total!r}")
-    w = w / total
+    w = check_weights(weights)
     combined_raw = w[0] * maps[0].values + w[1] * maps[1].values + w[2] * maps[2].values
     classes = {m.target_class for m in maps}
     target_class = classes.pop() if len(classes) == 1 else None
@@ -336,7 +342,7 @@ def decode_feature_vector(data: bytes) -> tuple[np.ndarray, int, int]:
 
 
 def write_heatmap(path, heatmap: Heatmap) -> None:
-    Path(path).write_bytes(encode_heatmap(heatmap))
+    write_file(path, encode_heatmap(heatmap))
 
 
 def read_heatmap(path) -> Heatmap:

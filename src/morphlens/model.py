@@ -12,13 +12,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor, backward, no_grad, softmax_cross_entropy
-from .config import format_pairs, format_value, parse_pairs, parse_value, read_text
+from .config import format_pairs, format_value, parse_pairs, parse_value, read_text, write_file
 from .data import MAX_RESOLUTION, NOISE_AMPLITUDE, LabeledImage, preprocess
 from .errors import (
     ArchitectureError,
@@ -687,7 +686,7 @@ def save_plan_sidecar(path, plan: ScalingPlan, seed: int) -> None:
     """Write the key=value sidecar that lets a checkpoint rebuild its model."""
     values = {**asdict(plan), "seed": seed}
     text = format_pairs({key: format_value(key, value) for key, value in values.items()})
-    Path(path).write_text(text, encoding="ascii")
+    write_file(path, text.encode("ascii"))
 
 
 def load_plan_sidecar(path) -> tuple[ScalingPlan, int]:

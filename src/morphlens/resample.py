@@ -30,9 +30,17 @@ def bilinear_resize(values: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, in_w - 1)
     wy = (ys - y0).reshape(out_h, 1)
     wx = (xs - x0).reshape(1, out_w)
-    if array.ndim == 3:
-        wy = wy[:, :, None]
-        wx = wx[:, :, None]
-    top = (1.0 - wx) * array[y0][:, x0] + wx * array[y0][:, x1]
-    bottom = (1.0 - wx) * array[y1][:, x0] + wx * array[y1][:, x1]
-    return (1.0 - wy) * top + wy * bottom
+
+    def plane(values: np.ndarray) -> np.ndarray:
+        top = (1.0 - wx) * values[y0][:, x0] + wx * values[y0][:, x1]
+        bottom = (1.0 - wx) * values[y1][:, x0] + wx * values[y1][:, x1]
+        return (1.0 - wy) * top + wy * bottom
+
+    if array.ndim == 2:
+        return plane(array)
+    # One channel at a time: broadcasting over a short last axis is slower.
+    # The (H, W, C) result is a view of the channel-first stack.
+    stack = np.empty((array.shape[2], out_h, out_w))
+    for c in range(array.shape[2]):
+        stack[c] = plane(array[:, :, c])
+    return stack.transpose(1, 2, 0)

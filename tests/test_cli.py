@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphlens import cli, explain
+from morphlens import cli, config, explain
 from morphlens.checkpoint import decode_params, encode_params
 from morphlens.cli import main
 from morphlens.config import CONFIG_KEYS, RunConfig
@@ -109,9 +110,14 @@ def test_gen_data_rejects_a_huge_resolution_in_one_error_line(capsys):
 def test_gen_data_checks_the_resolution_of_an_empty_corpus(capsys, resolution):
     flags = ["--n-bonafide", "0", "--n-morphed", "0", "--base-resolution", resolution]
     code, out, err = run(capsys, "gen-data", "--config", "run.cfg", *flags)
+    # RunConfig.validate refuses the cap for every command; the face check refuses the rest
+    message = {
+        "100000000": "base resolution 100000000 is above the 1024-pixel maximum",
+        "5": "face resolution must be in [8, 1024], got 5",
+    }[resolution]
     assert code == 1
     assert out == ""
-    assert err == f"error: face resolution must be in [8, 1024], got {resolution}\n"
+    assert err == f"error: {message}\n"
     assert not Path("corpus").exists()
 
 
@@ -174,6 +180,35 @@ def test_a_bad_schedule_or_corpus_size_is_one_error_line_for_every_command(capsy
     code, out, err = run(capsys, command, "--config", "run.cfg", *COMMANDS[command], flag, value)
     assert (code, out, err) == (1, "", f"error: {message}\n")
     assert sorted(Path(".").iterdir()) == [Path("run.cfg")]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--phi", "-1"], "phi must be finite and >= 0, got -1.0"),
+        (["eval", "--tau", "nan"], "tau must be finite and >= 0, got nan"),
+        (["eval", "--alpha", "0.5"], "alpha, beta, gamma must each be >= 1, got (0.5, 1.1, 1.15)"),
+        (["eval", "--base-resolution", "5000"], "base resolution 5000 is above the 1024-pixel maximum"),
+        (
+            ["gen-data", "--n-bonafide", "4", "--n-morphed", "2", "--ensemble-weights", "2,2,2"],
+            "ensemble weights must sum to 1, got 6.0",
+        ),
+    ],
+    ids=["phi", "tau", "alpha", "base-resolution", "ensemble-weights"],
+)
+def test_a_bad_plan_resolution_or_weight_is_one_error_line_for_any_command(capsys, argv, message):
+    run_chain(capsys, "gen-data", "train")
+    before = {path: path.read_bytes() for path in Path(".").rglob("*") if path.is_file()}
+    code, out, err = run(capsys, argv[0], "--config", "run.cfg", *argv[1:])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert {path: path.read_bytes() for path in Path(".").rglob("*") if path.is_file()} == before
+
+
+def test_explain_refuses_bad_weights_before_loading_the_model(capsys):
+    # no checkpoint exists: the weights are refused first
+    weights = "--ensemble-weights=2,2,2"
+    code, out, err = run(capsys, "explain", "--config", "run.cfg", "--image", "a.ppm", weights)
+    assert (code, out, err) == (1, "", "error: ensemble weights must sum to 1, got 6.0\n")
 
 
 @pytest.mark.parametrize("checkpoint", ["a_directory", "a_file/m.ckpt"])
@@ -772,6 +807,63 @@ def test_env_seed_must_be_an_integer(capsys, monkeypatch):
     assert code == 1
     assert err.startswith("error:")
     assert "MORPHLENS_SEED" in err
+
+
+# every artifact goes through config.write_file
+
+CHAIN = (
+    ["gen-data"],
+    ["train"],
+    ["eval"],
+    ["explain", "--image", "corpus/morph/0000.ppm"],
+    ["dump-layer", "--image", "corpus/morph/0000.ppm", "--layer-index", "1"],
+)
+
+
+def test_every_artifact_goes_through_write_file_and_a_rerun_writes_the_same_bytes(capsys, monkeypatch):
+    written = []
+    real_open = open
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        written.append(os.path.normpath(path))
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(config, "open", recording_open, raising=False)
+    snapshots = []
+    for _ in range(2):
+        written.clear()
+        for argv in CHAIN:
+            code, _, err = run(capsys, argv[0], "--config", "run.cfg", *argv[1:])
+            assert code == 0, err
+        outputs = sorted(str(p) for p in Path(".").rglob("*") if p.is_file() and p.name != "run.cfg")
+        # images and manifest, checkpoint and sidecar, metrics, the nine explain files, the layer grid
+        assert len(outputs) == 12 + 1 + 2 + 1 + 9 + 1
+        assert sorted(set(written)) == outputs
+        snapshots.append({name: Path(name).read_bytes() for name in outputs})
+    assert snapshots[0] == snapshots[1]
+
+
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["gen-data"], "corpus/manifest.tsv"),
+        (["eval"], "out/metrics.txt"),
+        (["explain", "--image", "corpus/morph/0000.ppm"], "out/cam.ppm"),
+        (["explain", "--image", "corpus/morph/0000.ppm"], "out/ensemble_vec.xhm"),
+        (["dump-layer", "--image", "corpus/morph/0000.ppm", "--layer-index", "1"], "out/layer_01.pgm"),
+    ],
+    ids=["gen-data", "eval", "explain-overlay", "explain-vector", "dump-layer"],
+)
+def test_a_directory_at_an_output_path_is_one_error_line(capsys, argv, output):
+    run_chain(capsys, "gen-data", "train")
+    Path(output).unlink(missing_ok=True)
+    Path(output).mkdir(parents=True)
+    (Path(output) / "inside").write_bytes(b"kept")
+    code, out, err = run(capsys, argv[0], "--config", "run.cfg", *argv[1:])
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert output in err
+    assert (Path(output) / "inside").read_bytes() == b"kept"
 
 
 # the one-error-line contract for every flag value

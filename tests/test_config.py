@@ -1,7 +1,10 @@
-"""Run configuration: defaults, typed parsing, and the print/parse fixpoint."""
+"""Run configuration: defaults, typed parsing, the print/parse fixpoint, and the one writer."""
+
+import os
 
 import pytest
 
+from morphlens import config
 from morphlens.config import (
     CONFIG_KEYS,
     RunConfig,
@@ -9,8 +12,9 @@ from morphlens.config import (
     load_config,
     parse_config,
     parse_value,
+    write_file,
 )
-from morphlens.errors import CliError, FormatError
+from morphlens.errors import CliError, ExplainError, FormatError, PlanConstraintError
 
 
 def test_defaults_match_training_contract():
@@ -100,6 +104,8 @@ def test_load_config_file(tmp_path):
 def test_validate_accepts_the_defaults_and_the_edge_values():
     RunConfig().validate()
     RunConfig(epochs=0, batch_size=1, learning_rate=5e-324, n_bonafide=0, n_morphed=0).validate()
+    RunConfig(phi=0.0, tau=0.08, base_resolution=1024).validate()
+    RunConfig(base_resolution=1, ensemble_weights=(1.0, 0.0, 0.0)).validate()
 
 
 @pytest.mark.parametrize(
@@ -119,3 +125,108 @@ def test_validate_refuses_a_bad_schedule_or_corpus_size(key, value, message):
     with pytest.raises(CliError) as info:
         RunConfig(**{key: value}).validate()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "key, value, error, message",
+    [
+        ("phi", -1.0, PlanConstraintError, "phi must be finite and >= 0, got -1.0"),
+        ("tau", float("nan"), PlanConstraintError, "tau must be finite and >= 0, got nan"),
+        ("alpha", 0.5, PlanConstraintError, "alpha, beta, gamma must each be >= 1, got (0.5, 1.1, 1.15)"),
+        ("base_resolution", 5000, CliError, "base resolution 5000 is above the 1024-pixel maximum"),
+        ("base_resolution", 0, PlanConstraintError, "base depth, width, and resolution must be positive"),
+        ("ensemble_weights", (2.0, 2.0, 2.0), ExplainError, "ensemble weights must sum to 1, got 6.0"),
+        (
+            "ensemble_weights",
+            (-1.0, 1.0, 1.0),
+            ExplainError,
+            "ensemble weights must be non-negative, got (-1.0, 1.0, 1.0)",
+        ),
+    ],
+)
+def test_validate_refuses_a_bad_plan_resolution_or_weight(key, value, error, message):
+    # the messages are those of plan_scaling and explain.ensemble, which make the same checks
+    with pytest.raises(error) as info:
+        RunConfig(**{key: value}).validate()
+    assert str(info.value) == message
+
+
+# write_file
+
+
+def test_write_file_creates_a_file_with_the_bytes(tmp_path):
+    target = tmp_path / "a.bin"
+    write_file(target, b"\x00payload\n")
+    assert target.read_bytes() == b"\x00payload\n"
+
+
+def test_rewriting_a_file_with_a_shorter_payload_leaves_exactly_the_new_bytes(tmp_path):
+    target = tmp_path / "a.bin"
+    write_file(target, b"a much longer first payload")
+    write_file(target, b"short")
+    assert target.read_bytes() == b"short"
+    write_file(target, b"")
+    assert target.read_bytes() == b""
+
+
+def test_write_file_rewrites_the_file_in_place_and_keeps_its_links_and_mode(tmp_path):
+    target = tmp_path / "a.bin"
+    write_file(target, b"old bytes")
+    target.chmod(0o600)
+    held = tmp_path / "held.bin"
+    os.link(target, held)
+    inode = target.stat().st_ino
+    write_file(target, b"new")
+    assert target.stat().st_ino == inode and target.stat().st_mode & 0o777 == 0o600
+    assert held.read_bytes() == b"new"
+
+
+def test_write_file_empties_an_existing_file_on_a_descriptor_closed_before_the_write(tmp_path, monkeypatch):
+    # truncating on the writing descriptor makes its close start writeback that the next truncate waits for
+    events = []
+    real_os_open, real_close, real_open = os.open, os.close, open
+
+    def os_open(path, flags, *args):
+        fd = real_os_open(path, flags, *args)
+        events.append(("os.open", fd, bool(flags & os.O_TRUNC)))
+        return fd
+
+    def close(fd):
+        events.append(("close", fd))
+        real_close(fd)
+
+    def spy_open(path, mode="r", *args, **kwargs):
+        events.append(("open", mode))
+        return real_open(path, mode, *args, **kwargs)
+
+    target = tmp_path / "a.bin"
+    write_file(target, b"a longer first payload")
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(os, "close", close)
+    monkeypatch.setattr(config, "open", spy_open, raising=False)
+    write_file(target, b"short")
+    monkeypatch.undo()
+    assert target.read_bytes() == b"short"
+    fd = events[1][1]
+    assert events == [("open", "xb"), ("os.open", fd, True), ("close", fd), ("open", "r+b")]
+
+
+def test_write_file_writes_through_a_symlink(tmp_path):
+    pointed = tmp_path / "pointed.bin"
+    pointed.write_bytes(b"old bytes")
+    target = tmp_path / "a.bin"
+    target.symlink_to(pointed)
+    write_file(target, b"new")
+    assert target.is_symlink() and pointed.read_bytes() == b"new"
+    dangling = tmp_path / "dangling.bin"
+    dangling.symlink_to(tmp_path / "absent.bin")
+    write_file(dangling, b"new")
+    assert (tmp_path / "absent.bin").read_bytes() == b"new"
+
+
+def test_write_file_refuses_a_directory_and_leaves_it(tmp_path):
+    (tmp_path / "a.bin").mkdir()
+    (tmp_path / "a.bin" / "inside").write_bytes(b"kept")
+    with pytest.raises(OSError):
+        write_file(tmp_path / "a.bin", b"new")
+    assert (tmp_path / "a.bin" / "inside").read_bytes() == b"kept"

@@ -19,6 +19,8 @@ from morphlens.data import (
     split,
 )
 from morphlens.errors import DataError
+from morphlens.model import model_shapes, plan_scaling
+from morphlens.resample import bilinear_resize
 from morphlens.viz import RgbImage
 
 
@@ -197,6 +199,35 @@ def test_preprocess_grayscale_and_errors():
         preprocess(gray, 7)
     with pytest.raises(DataError):
         preprocess(np.zeros((0, 4, 3), dtype=np.uint8), 8)
+
+
+def broadcast_resize(values, out_h, out_w):
+    """bilinear_resize as one broadcast over the channel axis, its form before it went channel by channel."""
+    in_h, in_w = values.shape[:2]
+    ys = np.arange(out_h, dtype=np.float64) * ((in_h - 1) / (out_h - 1))
+    xs = np.arange(out_w, dtype=np.float64) * ((in_w - 1) / (out_w - 1))
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    wy = (ys - y0).reshape(out_h, 1, 1)
+    wx = (xs - x0).reshape(1, out_w, 1)
+    top = (1.0 - wx) * values[y0][:, x0] + wx * values[y0][:, x1]
+    bottom = (1.0 - wx) * values[y1][:, x0] + wx * values[y1][:, x1]
+    return (1.0 - wy) * top + wy * bottom
+
+
+@pytest.mark.parametrize("phi", [1.0, 2.0])
+def test_resizing_channel_by_channel_gives_the_broadcast_bits(phi):
+    side = model_shapes(plan_scaling(phi), 0).input_resolution
+    assert side in (76, 84)  # the preprocess sizes of a 64-pixel corpus at phi = 1 and 2
+    image = generate_face(3, 1, 64).image.pixels.astype(np.float64) / 255.0
+    resized = bilinear_resize(image, side, side)
+    assert resized.shape == (side, side, 3)
+    assert resized.tobytes() == broadcast_resize(image, side, side).tobytes()
+    expected = np.ascontiguousarray(broadcast_resize(image, side, side).transpose(2, 0, 1))
+    assert preprocess(generate_face(3, 1, 64).image, side).tobytes() == expected.tobytes()
+    assert bilinear_resize(image[:, :, :0], side, side).shape == (side, side, 0)
 
 
 # split
