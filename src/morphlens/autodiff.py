@@ -477,6 +477,17 @@ def _replay(source: Tensor, nodes: Sequence[Tensor], value: np.ndarray) -> np.nd
     return out.data
 
 
+def keep_heap(nbytes: int) -> None:
+    """Keep a freed heap top of up to 2 * nbytes in the process, for the rest of its life.
+
+    A loop that allocates and frees the same few blocks would otherwise fault
+    their pages in anew on every pass: glibc gives a freed heap top back to
+    the OS once it exceeds twice the largest mmap-sized block freed so far
+    (mallopt(3)). Freeing one untouched block of nbytes lifts that limit.
+    """
+    np.empty(nbytes // 8)
+
+
 # Bytes one stacked replay may hold copies of: the probed tensor plus the
 # recorded values downstream of it, once per slot. It sets how many probes
 # share a replay.
@@ -565,13 +576,9 @@ def gradient_check(network, input_values, epsilon: float = 1e-5) -> float:
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    # The replays allocate and free the same few blocks over and over. glibc
-    # gives a freed heap top back to the OS once it exceeds twice the largest
-    # mmap-sized block freed so far (mallopt(3)), so each replay would fault
-    # its pages in anew: 29k minor faults per audit of the default model.
-    # Freeing one untouched block of _STACK_BYTES lifts that limit above a
-    # stacked replay's working set, for the rest of the process.
-    np.empty(_STACK_BYTES // 8)
+    # keep a stacked replay's working set: without it an audit of the
+    # default model takes 29k minor faults
+    keep_heap(_STACK_BYTES)
     x = Tensor(np.asarray(input_values, dtype=np.float64))
     loss = network(x)
     store = backward(loss)

@@ -7,12 +7,11 @@ as little-endian 64-bit floats. Parameters keep their written order.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import write_file
+from .config import read_file, write_file
 from .errors import FormatError
 
 MAGIC = b"MLNS1\n"
@@ -72,7 +71,4 @@ def save_params(path, named: Sequence[tuple[str, np.ndarray]]) -> None:
 
 
 def load_params(path) -> list[tuple[str, np.ndarray]]:
-    target = Path(path)
-    if not target.is_file():
-        raise FormatError(f"checkpoint not found: {target}")
-    return decode_params(target.read_bytes())
+    return decode_params(read_file(path, "checkpoint"))

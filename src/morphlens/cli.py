@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_params, save_params
-from .config import CONFIG_KEYS, RunConfig, load_config, parse_value, write_file
+from .config import CONFIG_KEYS, RunConfig, load_config, parse_value, read_file, write_file
 from .data import build_corpus, load_corpus, preprocess, save_corpus, split
 from .errors import CliError, MorphLensError
 from .explain import (
@@ -123,10 +123,7 @@ def _load_model(cfg: RunConfig) -> tuple[CnnModel, int]:
 
 
 def _load_image(path: str) -> RgbImage:
-    target = Path(path)
-    if not target.is_file():
-        raise CliError(f"image not found: {target}")
-    return decode_ppm(target.read_bytes())
+    return decode_ppm(read_file(path, "image"))
 
 
 def _tensor_to_rgb(tensor: np.ndarray) -> RgbImage:
@@ -227,10 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(ns)
         return _DISPATCH[ns.command](cfg, ns)
-    except MorphLensError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MorphLensError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

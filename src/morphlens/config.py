@@ -6,7 +6,8 @@ skipped, spaces around key and value ignored, a later key winning. Floats
 are printed with repr so parse(format(cfg)) == cfg bit-for-bit; the
 ensemble weights are one comma-separated triple.
 
-Every artifact, text or binary, is written by write_file.
+Every input file is read by read_file (read_text for text) and every
+artifact, text or binary, is written by write_file.
 """
 
 from __future__ import annotations
@@ -133,16 +134,27 @@ def format_pairs(pairs: dict[str, str]) -> str:
     return "".join(f"{key}={value}\n" for key, value in pairs.items())
 
 
-def read_text(path, kind: str) -> str:
-    """A key=value file's text; a missing file or a non-ASCII byte is a FormatError."""
+def read_file(path, kind: str) -> bytes:
+    """A file's whole content; kind names it in errors.
+
+    Anything but a regular file (missing, a directory, a FIFO, a device) is
+    a FormatError, checked before anything is opened, so a FIFO never blocks.
+    Path.read_bytes reads it: in this module only write_file calls open.
+    """
     target = Path(path)
     if not target.is_file():
         raise FormatError(f"{kind} not found: {target}")
+    return target.read_bytes()
+
+
+def read_text(path, kind: str) -> str:
+    """A text file's content; a non-ASCII byte is a FormatError, as in read_file."""
+    data = read_file(path, kind)
     try:
-        return target.read_text(encoding="ascii")
+        return data.decode("ascii")
     except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise FormatError(f"{kind} {target} is not ASCII text: byte {byte:#04x} at offset {exc.start}") from None
+        byte = data[exc.start]
+        raise FormatError(f"{kind} {Path(path)} is not ASCII text: byte {byte:#04x} at offset {exc.start}") from None
 
 
 def write_file(path, data: bytes) -> None:

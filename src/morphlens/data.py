@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import write_file
+from .config import read_file, read_text, write_file
 from .errors import DataError
 from .resample import bilinear_resize
 from .rng import Lcg, derive_seed, noise_grid
@@ -253,16 +253,9 @@ def save_corpus(directory, corpus: list[LabeledImage]) -> None:
 
 def load_corpus(directory) -> list[LabeledImage]:
     root = Path(directory)
-    manifest = root / "manifest.tsv"
-    if not manifest.is_file():
-        raise DataError(f"corpus not found: no manifest at {manifest}")
     samples: list[LabeledImage] = []
     counters = {0: 0, 1: 0}
-    try:
-        text = manifest.read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise DataError(f"manifest {manifest} is not ASCII text: byte {byte:#04x} at offset {exc.start}") from None
+    text = read_text(root / "manifest.tsv", "manifest")
     for line_no, line in enumerate(text.splitlines(), 1):
         fields = line.split("\t")
         if len(fields) != 5:
@@ -274,9 +267,7 @@ def load_corpus(directory) -> list[LabeledImage]:
         sub = "bonafide" if label == 0 else "morph"
         path = root / sub / f"{counters[label]:04d}.ppm"
         counters[label] += 1
-        if not path.is_file():
-            raise DataError(f"corpus image missing: {path}")
-        image = decode_ppm(path.read_bytes())
+        image = decode_ppm(read_file(path, "corpus image"))
         if label == 1:
             try:
                 lam = float(lam_text)

@@ -34,7 +34,7 @@ class ExplainError(MorphLensError):
 
 
 class FormatError(MorphLensError):
-    """Malformed file content: image codecs, heatmap files, checkpoints, config."""
+    """Malformed file content (image codecs, heatmap files, checkpoints, config), or an input path that is not a regular file."""
 
 
 class ImageError(MorphLensError):

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from pathlib import Path
 
 from .autodiff import Tensor, backward, select
 from .config import write_file
@@ -343,10 +342,3 @@ def decode_feature_vector(data: bytes) -> tuple[np.ndarray, int, int]:
 
 def write_heatmap(path, heatmap: Heatmap) -> None:
     write_file(path, encode_heatmap(heatmap))
-
-
-def read_heatmap(path) -> Heatmap:
-    target = Path(path)
-    if not target.is_file():
-        raise FormatError(f"heatmap file not found: {target}")
-    return decode_heatmap(target.read_bytes())

@@ -563,14 +563,9 @@ def train(
     if not np.isin(labels, (0, 1)).all():
         raise DataError("labels must be 0 (bona fide) or 1 (morphed)")
     params = [tensor for _, tensor in model.parameters()]
-    # A step allocates and frees the same few blocks of several MB. glibc gives
-    # a freed heap top back to the OS once it exceeds twice the largest
-    # mmap-sized block freed so far (mallopt(3)), so with one tape alive at a
-    # time each step would fault its pages in anew: 116k minor faults in a
-    # fresh process's default train, against 11k. Freeing one untouched
-    # 16 MiB block lifts that limit for the rest of the process, as in
-    # gradient_check.
-    np.empty(1 << 21)
+    # keep a step's blocks of several MB: without it a fresh process's
+    # default train takes 116k minor faults, against 11k
+    autodiff.keep_heap(1 << 24)
     dropout_rng = Lcg(derive_seed(seed, _DROPOUT_STREAM))
     n = len(dataset)
     pools = [np.flatnonzero(labels == c).tolist() for c in (0, 1)]

@@ -6,6 +6,7 @@ import math
 import os
 import shutil
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,9 @@ def test_a_bad_schedule_or_corpus_size_is_one_error_line_for_every_command(capsy
     [
         (["eval", "--phi", "-1"], "phi must be finite and >= 0, got -1.0"),
         (["eval", "--tau", "nan"], "tau must be finite and >= 0, got nan"),
+        # a value argparse would take for an option reaches its check as --flag=VALUE
+        (["gen-data", "--phi=-1e3"], "phi must be finite and >= 0, got -1000.0"),
+        (["train", "--learning-rate=-inf"], "learning-rate must be positive and finite, got -inf"),
         (["eval", "--alpha", "0.5"], "alpha, beta, gamma must each be >= 1, got (0.5, 1.1, 1.15)"),
         (["eval", "--base-resolution", "5000"], "base resolution 5000 is above the 1024-pixel maximum"),
         (
@@ -194,7 +198,7 @@ def test_a_bad_schedule_or_corpus_size_is_one_error_line_for_every_command(capsy
             "ensemble weights must sum to 1, got 6.0",
         ),
     ],
-    ids=["phi", "tau", "alpha", "base-resolution", "ensemble-weights"],
+    ids=["phi", "tau", "phi-equals", "learning-rate-equals", "alpha", "base-resolution", "ensemble-weights"],
 )
 def test_a_bad_plan_resolution_or_weight_is_one_error_line_for_any_command(capsys, argv, message):
     run_chain(capsys, "gen-data", "train")
@@ -566,6 +570,39 @@ def test_explain_missing_image(capsys):
     code, _, err = run(capsys, "explain", "--config", "run.cfg", "--image", "ghost.ppm")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_a_fifo_at_the_image_path_is_one_error_line_without_blocking(capsys):
+    run_chain(capsys, "gen-data", "train")
+    os.mkfifo("face.ppm")
+    codes = []
+    argv = ["explain", "--config", "run.cfg", "--image", "face.ppm"]
+    worker = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "explain blocked on a FIFO at --image"
+    assert codes == [1]
+    assert capsys.readouterr().err == "error: image not found: face.ppm\n"
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["eval"], "model.ckpt"),
+        (["eval"], "model.ckpt.plan"),
+        (["eval"], "corpus/manifest.tsv"),
+        (["explain", "--image", "corpus/morph/0000.ppm"], "corpus/morph/0000.ppm"),
+    ],
+    ids=["checkpoint", "sidecar", "manifest", "image"],
+)
+def test_a_directory_at_an_input_path_is_one_error_line_naming_it(capsys, argv, path):
+    run_chain(capsys, "gen-data", "train")
+    Path(path).unlink()
+    Path(path).mkdir()
+    code, out, err = run(capsys, argv[0], "--config", "run.cfg", *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f" {path}" in err
 
 
 def test_explain_rejects_out_of_range_class():

@@ -1,4 +1,4 @@
-"""Run configuration: defaults, typed parsing, the print/parse fixpoint, and the one writer."""
+"""Run configuration: defaults, typed parsing, the print/parse fixpoint, the one reader and the one writer."""
 
 import os
 
@@ -12,6 +12,8 @@ from morphlens.config import (
     load_config,
     parse_config,
     parse_value,
+    read_file,
+    read_text,
     write_file,
 )
 from morphlens.errors import CliError, ExplainError, FormatError, PlanConstraintError
@@ -149,6 +151,30 @@ def test_validate_refuses_a_bad_plan_resolution_or_weight(key, value, error, mes
     with pytest.raises(error) as info:
         RunConfig(**{key: value}).validate()
     assert str(info.value) == message
+
+
+# read_file and read_text
+
+
+@pytest.mark.parametrize("make", [lambda path: None, os.mkdir], ids=["missing", "directory"])
+def test_read_file_refuses_a_missing_file_or_a_directory(tmp_path, make):
+    target = tmp_path / "a.ppm"
+    make(target)
+    with pytest.raises(FormatError) as info:
+        read_file(target, "image")
+    assert str(info.value) == f"image not found: {target}"
+
+
+def test_read_text_splits_lines_as_text_mode_did_and_names_a_non_ascii_byte(tmp_path):
+    target = tmp_path / "run.cfg"
+    target.write_bytes(b"seed=7\r\nepochs=2\rbase_width=3\n")
+    assert read_text(target, "config file").splitlines() == ["seed=7", "epochs=2", "base_width=3"]
+    cfg = load_config(target)
+    assert (cfg.seed, cfg.epochs, cfg.base_width) == (7, 2, 3)
+    target.write_bytes(b"seed=7\n\xe9\n")
+    with pytest.raises(FormatError) as info:
+        read_text(target, "config file")
+    assert str(info.value) == f"config file {target} is not ASCII text: byte 0xe9 at offset 7"
 
 
 # write_file

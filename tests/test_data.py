@@ -18,7 +18,7 @@ from morphlens.data import (
     save_corpus,
     split,
 )
-from morphlens.errors import DataError
+from morphlens.errors import DataError, FormatError
 from morphlens.model import model_shapes, plan_scaling
 from morphlens.resample import bilinear_resize
 from morphlens.viz import RgbImage
@@ -312,7 +312,7 @@ def test_saving_a_smaller_corpus_leaves_the_directory_matching_its_manifest(tmp_
 
 
 def test_load_corpus_errors(tmp_path):
-    with pytest.raises(DataError):
+    with pytest.raises(FormatError, match="^manifest not found: "):
         load_corpus(tmp_path)
     corpus = build_corpus(2, 1, seed=1, resolution=16)
     save_corpus(tmp_path, corpus)
@@ -329,5 +329,5 @@ def test_load_corpus_errors(tmp_path):
 
     manifest.write_text(good, encoding="ascii")
     (tmp_path / "morph" / "0000.ppm").unlink()
-    with pytest.raises(DataError):
+    with pytest.raises(FormatError, match="^corpus image not found: "):
         load_corpus(tmp_path)

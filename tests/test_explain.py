@@ -23,7 +23,6 @@ from morphlens.explain import (
     explain_all,
     gradcam,
     normalize_map,
-    read_heatmap,
     saliency_map,
     upsample,
     write_heatmap,
@@ -661,11 +660,6 @@ def test_heatmap_file_round_trip(tmp_path):
     heatmap = Heatmap(np.array([[0.25, 0.5], [0.75, 1.0]]), "saliency", normalized=False)
     path = tmp_path / "map.xhm"
     write_heatmap(path, heatmap)
-    out = read_heatmap(path)
+    out = decode_heatmap(path.read_bytes())
     assert np.array_equal(out.values, heatmap.values)
     assert out.method == "saliency"
-
-
-def test_read_heatmap_missing_file(tmp_path):
-    with pytest.raises(FormatError):
-        read_heatmap(tmp_path / "absent.xhm")
