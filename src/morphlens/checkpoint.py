@@ -7,11 +7,12 @@ as little-endian 64-bit floats. Parameters keep their written order.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import read_file, write_file
+from .config import read_file, read_header, read_size, write_file
 from .errors import FormatError
 
 MAGIC = b"MLNS1\n"
@@ -32,36 +33,22 @@ def encode_params(named: Iterable[tuple[str, np.ndarray]]) -> bytes:
 
 
 def decode_params(data: bytes) -> list[tuple[str, np.ndarray]]:
-    if not data.startswith(MAGIC):
+    magic, pos = read_header(data, 0, "checkpoint", ("magic",))
+    if magic != ["MLNS1"]:
         raise FormatError("bad checkpoint magic, expected MLNS1")
-    pos = len(MAGIC)
     entries: list[tuple[str, np.ndarray]] = []
     while pos < len(data):
-        newline = data.find(b"\n", pos)
-        if newline < 0:
-            raise FormatError("truncated checkpoint header line")
-        tokens = data[pos:newline].split(b" ")
-        if len(tokens) < 2:
-            raise FormatError(f"checkpoint header needs a name and dimensions, got {data[pos:newline]!r}")
-        try:
-            name = tokens[0].decode("ascii")
-        except UnicodeDecodeError:
-            raise FormatError(f"non-ASCII parameter name in checkpoint header {data[pos:newline]!r}") from None
-        try:
-            dims = tuple(int(t) for t in tokens[1:])
-        except ValueError:
-            raise FormatError(f"non-integer dimension in checkpoint header {data[pos:newline]!r}") from None
-        if any(d < 1 for d in dims):
-            raise FormatError(f"non-positive dimension in checkpoint header {data[pos:newline]!r}")
-        count = int(np.prod(dims))
-        start = newline + 1
-        end = start + count * 8
+        fields, start = read_header(data, pos, "checkpoint", ("parameter name", "dimension"))
+        name, *sizes = fields
+        if not sizes:
+            raise FormatError(f"checkpoint header needs a name and dimensions, got {name!r}")
+        dims = tuple(read_size(size, "checkpoint dimension") for size in sizes)
+        end = start + math.prod(dims) * 8
         if end > len(data):
             raise FormatError(
-                f"checkpoint payload for {name!r} has {len(data) - start} bytes, expected {count * 8}"
+                f"checkpoint payload for {name!r} has {len(data) - start} bytes, expected {end - start}"
             )
-        values = np.frombuffer(data[start:end], dtype="<f8").reshape(dims).copy()
-        entries.append((name, values))
+        entries.append((name, np.frombuffer(data[start:end], dtype="<f8").reshape(dims).copy()))
         pos = end
     return entries
 

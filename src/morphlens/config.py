@@ -7,7 +7,7 @@ are printed with repr so parse(format(cfg)) == cfg bit-for-bit; the
 ensemble weights are one comma-separated triple.
 
 Every input file is read by read_file (read_text for text) and every
-artifact, text or binary, is written by write_file.
+artifact, text or binary, is written by write_file; binary headers are read by read_header.
 """
 
 from __future__ import annotations
@@ -155,6 +155,34 @@ def read_text(path, kind: str) -> str:
     except UnicodeDecodeError as exc:
         byte = data[exc.start]
         raise FormatError(f"{kind} {Path(path)} is not ASCII text: byte {byte:#04x} at offset {exc.start}") from None
+
+
+def read_header(data: bytes, pos: int, kind: str, labels: tuple[str, ...]) -> tuple[list[str], int]:
+    """The fields of the header line at data[pos:] and the offset past its newline.
+
+    Every binary header line is ASCII, ends in a newline, and splits by single spaces into non-empty
+    fields free of whitespace (encode_params's name rule); anything else is a FormatError naming
+    kind, the file. labels name the fields, the last one any further ones.
+    """
+    end = data.find(b"\n", pos)
+    if end < 0:
+        raise FormatError(f"{kind} header line at byte {pos} has no newline")
+    raw = data[pos:end]
+    if not raw.isascii():
+        bad = next(i for i, part in enumerate(raw.split(b" ")) if not part.isascii())
+        raise FormatError(f"non-ASCII {labels[min(bad, len(labels) - 1)]} in {kind} header {raw[:80]!r}")
+    line = raw.decode("ascii")
+    fields = line.split(" ")
+    if fields != line.split():
+        raise FormatError(f"{kind} header {line[:80]!r} is not fields separated by single spaces")
+    return fields, end + 1
+
+
+def read_size(field: str, what: str) -> int:
+    """A size field of a header: plain decimal digits with no leading zero, as the encoders write it."""
+    if not field.isdigit() or field[0] == "0":
+        raise FormatError(f"{what} {field!r} is not a positive decimal size")
+    return int(field)
 
 
 def write_file(path, data: bytes) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_file, read_text, write_file
+from .config import RunConfig, read_file, read_text, write_file
 from .errors import DataError
 from .resample import bilinear_resize
 from .rng import Lcg, derive_seed, noise_grid
@@ -84,7 +84,7 @@ def _check_face_resolution(resolution: int) -> None:
         raise DataError(f"face resolution must be in [8, {MAX_RESOLUTION}], got {resolution}")
 
 
-def generate_face(seed: int, index: int, resolution: int = 64) -> LabeledImage:
+def generate_face(seed: int, index: int, resolution: int = RunConfig.base_resolution) -> LabeledImage:
     """Deterministic synthetic face: all geometry and tones are LCG draws."""
     _check_face_resolution(resolution)
     rng = Lcg(derive_seed(seed, _FACE_STREAM, index))
@@ -150,7 +150,8 @@ def morph(a: LabeledImage, b: LabeledImage, lam: float, uid: str | None = None) 
 
 
 def build_corpus(
-    n_bonafide: int = 128, n_morphed: int = 128, seed: int = 1, resolution: int = 64
+    n_bonafide: int = RunConfig.n_bonafide, n_morphed: int = RunConfig.n_morphed, seed: int = RunConfig.seed,
+    resolution: int = RunConfig.base_resolution,
 ) -> list[LabeledImage]:
     """Bona fide faces followed by morphs over distinct unordered pairs."""
     if n_bonafide < 0 or n_morphed < 0:

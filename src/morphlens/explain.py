@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, backward, select
-from .config import write_file
+from .config import read_header, read_size, write_file
 from .errors import (
     ArchitectureError,
     ExplainError,
@@ -295,21 +295,16 @@ def _encode(height: int, width: int, method: str, values: np.ndarray) -> bytes:
     return header + np.ascontiguousarray(values, dtype="<f8").tobytes()
 
 
-def _decode(data: bytes) -> tuple[int, int, str, np.ndarray]:
-    newline = data.find(b"\n")
-    if newline < 0:
-        raise FormatError("heatmap file is missing its header line")
-    tokens = data[:newline].split(b" ")
-    if len(tokens) != 4 or tokens[0] != b"XHM1":
-        raise FormatError(f"malformed heatmap header {data[:newline]!r}")
-    if not tokens[1].isdigit() or not tokens[2].isdigit():
-        raise FormatError(f"malformed heatmap dimensions in {data[:newline]!r}")
-    height, width = int(tokens[1]), int(tokens[2])
-    if height < 1 or width < 1:
-        raise FormatError(f"non-positive heatmap dimensions {height}x{width}")
-    method = tokens[3].decode("ascii")
+def _decode(data: bytes, methods: tuple[str, ...]) -> tuple[int, int, str, np.ndarray]:
+    fields, start = read_header(data, 0, "heatmap", ("magic", "height", "width", "method"))
+    if len(fields) != 4 or fields[0] != "XHM1":
+        raise FormatError(f"malformed heatmap header {' '.join(fields)[:80]!r}")
+    height, width = read_size(fields[1], "heatmap height"), read_size(fields[2], "heatmap width")
+    method = fields[3]
+    if method not in methods:
+        raise FormatError(f"heatmap method {method!r} is not one of {', '.join(methods)}")
     count = height * width * (3 if method == _VECTOR_METHOD else 1)
-    payload = data[newline + 1 :]
+    payload = data[start:]
     if len(payload) != count * 8:
         raise FormatError(f"heatmap payload has {len(payload)} bytes, expected {count * 8}")
     return height, width, method, np.frombuffer(payload, dtype="<f8").copy()
@@ -320,9 +315,7 @@ def encode_heatmap(heatmap: Heatmap) -> bytes:
 
 
 def decode_heatmap(data: bytes) -> Heatmap:
-    height, width, method, values = _decode(data)
-    if method not in METHODS:
-        raise FormatError(f"unknown heatmap method {method!r} in file")
+    height, width, method, values = _decode(data, METHODS)
     return Heatmap(values.reshape(height, width), method, normalized=False)
 
 
@@ -334,9 +327,7 @@ def encode_feature_vector(values: np.ndarray, height: int, width: int) -> bytes:
 
 
 def decode_feature_vector(data: bytes) -> tuple[np.ndarray, int, int]:
-    height, width, method, values = _decode(data)
-    if method != _VECTOR_METHOD:
-        raise FormatError(f"expected an {_VECTOR_METHOD} file, got method {method!r}")
+    height, width, _, values = _decode(data, (_VECTOR_METHOD,))
     return values, height, width
 
 

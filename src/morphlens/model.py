@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor, backward, no_grad, softmax_cross_entropy
-from .config import format_pairs, format_value, parse_pairs, parse_value, read_text, write_file
+from .config import RunConfig, format_pairs, format_value, parse_pairs, parse_value, read_text, write_file
 from .data import MAX_RESOLUTION, NOISE_AMPLITUDE, LabeledImage, preprocess
 from .errors import (
     ArchitectureError,
@@ -119,13 +119,13 @@ PLAN_KEYS = tuple(field.name for field in fields(ScalingPlan))
 
 def plan_scaling(
     phi: float,
-    alpha: float = 1.2,
-    beta: float = 1.1,
-    gamma: float = 1.15,
-    base_depth: int = 2,
-    base_width: int = 8,
-    base_resolution: int = 64,
-    tau: float = 0.15,
+    alpha: float = RunConfig.alpha,
+    beta: float = RunConfig.beta,
+    gamma: float = RunConfig.gamma,
+    base_depth: int = RunConfig.base_depth,
+    base_width: int = RunConfig.base_width,
+    base_resolution: int = RunConfig.base_resolution,
+    tau: float = RunConfig.tau,
 ) -> ScalingPlan:
     """Derive depth/width/resolution multipliers alpha^phi, beta^phi, gamma^phi.
 
@@ -477,14 +477,13 @@ def single_image(image) -> np.ndarray:
 
 
 def predict(model: CnnModel, image) -> Prediction:
-    """Class scores, softmax probabilities, and the argmax (ties -> bona fide)."""
+    """Class scores, softmax probabilities, and the larger logit's class, as train counts it (ties -> bona fide)."""
     with no_grad():
         logits, _ = model.forward(Tensor(single_image(image)))
     scores = logits.data[0].copy()
     shifted = np.exp(scores - scores.max())
     probabilities = shifted / shifted.sum()
-    predicted = 0 if probabilities[0] >= probabilities[1] else 1
-    return Prediction(scores, probabilities, predicted)
+    return Prediction(scores, probabilities, int(scores[1] > scores[0]))
 
 
 @dataclass(frozen=True)
@@ -531,10 +530,10 @@ def _balanced_order(pools: list[list[int]]) -> list[int]:
 def train(
     model: CnnModel,
     dataset: list[LabeledImage],
-    epochs: int = 5,
-    batch_size: int = 32,
-    learning_rate: float = 0.05,
-    seed: int = 1,
+    epochs: int = RunConfig.epochs,
+    batch_size: int = RunConfig.batch_size,
+    learning_rate: float = RunConfig.learning_rate,
+    seed: int = RunConfig.seed,
 ) -> TrainReport:
     """Mini-batch SGD on softmax cross-entropy; deterministic for a fixed seed.
 

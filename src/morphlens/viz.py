@@ -12,7 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read_header, read_size
 from .errors import FormatError, ImageError
+
+
+def _as_uint8(array: np.ndarray, refusal: str) -> np.ndarray:
+    """array as uint8 if it is uint8 or integers in [0, 255]; else ImageError(refusal + its dtype)."""
+    if array.dtype == np.uint8:
+        return array
+    if not np.issubdtype(array.dtype, np.integer) or array.min() < 0 or array.max() > 255:
+        raise ImageError(f"{refusal}, got {array.dtype}")
+    return array.astype(np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,11 +37,7 @@ class RgbImage:
             raise ImageError(f"RgbImage needs an (H, W, 3) array, got shape {array.shape}")
         if array.shape[0] < 1 or array.shape[1] < 1:
             raise ImageError(f"RgbImage dimensions must be positive, got shape {array.shape}")
-        if array.dtype != np.uint8:
-            if not np.issubdtype(array.dtype, np.integer) or array.min() < 0 or array.max() > 255:
-                raise ImageError(f"RgbImage pixels must be uint8 or integers in [0, 255], got {array.dtype}")
-            array = array.astype(np.uint8)
-        object.__setattr__(self, "pixels", array)
+        object.__setattr__(self, "pixels", _as_uint8(array, "RgbImage pixels must be uint8 or integers in [0, 255]"))
 
     @property
     def height(self) -> int:
@@ -85,27 +91,16 @@ def superimpose(base: RgbImage, heats: Sequence[RgbImage], alpha: float = 0.4) -
     return tuple(RgbImage(p) for p in np.floor(mixed + 0.5).astype(np.uint8))
 
 
-def _parse_netpbm(data: bytes, magic: bytes, channels: int) -> tuple[int, int, bytes]:
-    prefix = magic + b"\n"
-    if not data.startswith(prefix):
-        raise FormatError(f"bad magic, expected {magic.decode('ascii')}")
-    rest = data[len(prefix) :]
-    newline = rest.find(b"\n")
-    if newline < 0:
-        raise FormatError("missing dimensions line")
-    tokens = rest[:newline].split(b" ")
-    if len(tokens) != 2 or not all(t.isdigit() for t in tokens):
-        raise FormatError(f"malformed dimensions line {rest[:newline]!r}")
-    width, height = int(tokens[0]), int(tokens[1])
-    if width < 1 or height < 1:
-        raise FormatError(f"non-positive dimensions {width}x{height}")
-    rest = rest[newline + 1 :]
-    maxval_end = rest.find(b"\n")
-    if maxval_end < 0:
-        raise FormatError("missing maxval line")
-    if rest[:maxval_end] != b"255":
-        raise FormatError(f"unsupported maxval {rest[:maxval_end]!r}, only 255 is accepted")
-    payload = rest[maxval_end + 1 :]
+def _parse_netpbm(data: bytes, kind: str, magic: str, channels: int) -> tuple[int, int, bytes]:
+    fields, pos = read_header(data, 0, kind, ("magic",))
+    if fields != [magic]:
+        raise FormatError(f"bad {kind} magic, expected {magic}")
+    dims, pos = read_header(data, pos, kind, ("width", "height"))
+    maxval, pos = read_header(data, pos, kind, ("maxval",))
+    if len(dims) != 2 or maxval != ["255"]:
+        raise FormatError(f"{kind} header needs 'width height' and maxval 255, got {' '.join(dims + maxval)[:80]!r}")
+    width, height = read_size(dims[0], f"{kind} width"), read_size(dims[1], f"{kind} height")
+    payload = data[pos:]
     expected = width * height * channels
     if len(payload) != expected:
         raise FormatError(f"payload has {len(payload)} bytes, expected {expected}")
@@ -118,7 +113,7 @@ def encode_ppm(image: RgbImage) -> bytes:
 
 
 def decode_ppm(data: bytes) -> RgbImage:
-    width, height, payload = _parse_netpbm(data, b"P6", 3)
+    width, height, payload = _parse_netpbm(data, "PPM", "P6", 3)
     return RgbImage(np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy())
 
 
@@ -126,14 +121,11 @@ def encode_pgm(gray: np.ndarray) -> bytes:
     array = np.asarray(gray)
     if array.ndim != 2 or array.shape[0] < 1 or array.shape[1] < 1:
         raise ImageError(f"encode_pgm needs a non-empty 2-D array, got shape {array.shape}")
-    if array.dtype != np.uint8:
-        if not np.issubdtype(array.dtype, np.integer) or array.min() < 0 or array.max() > 255:
-            raise ImageError(f"encode_pgm needs uint8 data, got {array.dtype}")
-        array = array.astype(np.uint8)
+    array = _as_uint8(array, "encode_pgm needs uint8 data")
     header = f"P5\n{array.shape[1]} {array.shape[0]}\n255\n".encode("ascii")
     return header + np.ascontiguousarray(array).tobytes()
 
 
 def decode_pgm(data: bytes) -> np.ndarray:
-    width, height, payload = _parse_netpbm(data, b"P5", 1)
+    width, height, payload = _parse_netpbm(data, "PGM", "P5", 1)
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()

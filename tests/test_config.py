@@ -1,10 +1,14 @@
-"""Run configuration: defaults, typed parsing, the print/parse fixpoint, the one reader and the one writer."""
+"""Run configuration: defaults, typed parsing, the print/parse fixpoint, the one reader, writer and header rule."""
 
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphlens import config
+from morphlens.checkpoint import decode_params, encode_params
 from morphlens.config import (
     CONFIG_KEYS,
     RunConfig,
@@ -13,10 +17,20 @@ from morphlens.config import (
     parse_config,
     parse_value,
     read_file,
+    read_header,
+    read_size,
     read_text,
     write_file,
 )
 from morphlens.errors import CliError, ExplainError, FormatError, PlanConstraintError
+from morphlens.explain import (
+    Heatmap,
+    decode_feature_vector,
+    decode_heatmap,
+    encode_feature_vector,
+    encode_heatmap,
+)
+from morphlens.viz import RgbImage, decode_pgm, decode_ppm, encode_pgm, encode_ppm
 
 
 def test_defaults_match_training_contract():
@@ -256,3 +270,132 @@ def test_write_file_refuses_a_directory_and_leaves_it(tmp_path):
     with pytest.raises(OSError):
         write_file(tmp_path / "a.bin", b"new")
     assert (tmp_path / "a.bin" / "inside").read_bytes() == b"kept"
+
+
+# read_header and read_size: the one header rule of the binary artifacts
+
+
+def test_read_header_returns_the_fields_and_the_offset_past_the_newline():
+    assert read_header(b"P6\n3 2\n255\n", 3, "PPM", ("width", "height")) == (["3", "2"], 7)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b"3 2", "PPM header line at byte 0 has no newline"),
+        (b"3 \xff\n", "non-ASCII height in PPM header b'3 \\xff'"),
+        (b"3 2 \xff\n", "non-ASCII height in PPM header"),  # the last label names any further field
+        (b"3  2\n", "PPM header '3  2' is not fields separated by single spaces"),
+        (b"3\t2\n", "is not fields separated by single spaces"),
+        (b"3\x1c2\n", "is not fields separated by single spaces"),  # str.isspace, as encode_params checks names
+        (b" 3 2\n", "is not fields separated by single spaces"),
+        (b"3 2\r\n", "is not fields separated by single spaces"),
+        (b"\n", "is not fields separated by single spaces"),
+    ],
+)
+def test_read_header_refuses_a_line_off_the_rule(line, message):
+    with pytest.raises(FormatError) as info:
+        read_header(line, 0, "PPM", ("width", "height"))
+    assert message in str(info.value)
+
+
+def test_read_header_quotes_at_most_80_bytes_of_a_bad_line():
+    with pytest.raises(FormatError) as info:
+        read_header(b"\xff" * 1000 + b"\n", 0, "checkpoint", ("magic",))
+    assert len(str(info.value)) < 400
+
+
+@pytest.mark.parametrize("field", ["0", "01", "+2", "-2", "1_0", "2.0", "1e3", "x"])
+def test_read_size_takes_only_the_digits_an_encoder_writes(field):
+    with pytest.raises(FormatError) as info:
+        read_size(field, "heatmap width")
+    assert f"heatmap width {field!r} is not a positive decimal size" in str(info.value)
+
+
+def test_read_size_reads_a_canonical_size():
+    assert read_size("1024", "heatmap width") == 1024
+
+
+# Every decoder below either refuses its input with FormatError or gives back
+# a value that encodes to exactly the input bytes.
+
+
+@pytest.mark.parametrize(
+    "decode, data",
+    [
+        (decode_ppm, b"P6\n03 1\n255\n" + bytes(9)),
+        (decode_pgm, b"P5\n1 01\n255\n" + bytes(1)),
+        (decode_heatmap, b"XHM1 02 1 cam\n" + bytes(16)),
+        (decode_params, b"MLNS1\nw +2\n" + bytes(16)),
+        (decode_params, b"MLNS1\nw 1_0\n" + bytes(80)),
+        (decode_params, b"MLNS1\nw\t 1\n" + bytes(8)),
+        (decode_params, b"MLNS1\n 1\n" + bytes(8)),
+        (decode_heatmap, b"XHM1 1 1 \xff\n" + bytes(8)),
+        (decode_params, b"MLNS1\nw 4294967296 4294967296\n" + bytes(8)),  # 2**64 values wrapped to 0 in int64
+    ],
+    ids=["ppm-leading-zero", "pgm-leading-zero", "heatmap-leading-zero", "checkpoint-sign",
+         "checkpoint-underscore", "checkpoint-tab-in-name", "checkpoint-empty-name", "heatmap-non-ascii",
+         "checkpoint-size-overflow"],
+)
+def test_a_non_canonical_header_is_a_format_error(decode, data):
+    with pytest.raises(FormatError):
+        decode(data)
+
+
+def _checkpoint_header_bytes(named):
+    """Offsets of the magic and of every parameter header line in encode_params(named)."""
+    magic = len(encode_params([]))
+    offsets = list(range(magic))
+    for k, (_, array) in enumerate(named):
+        start = len(encode_params(named[:k]))
+        offsets += range(start, start + len(encode_params(named[k : k + 1])) - magic - array.nbytes)
+    return offsets
+
+
+_PARAMS = [("c.w", np.arange(6.0).reshape(1, 2, 3)), ("b", np.array([0.5, -1.0]))]
+_PPM = encode_ppm(RgbImage(np.arange(36, dtype=np.uint8).reshape(3, 4, 3)))
+_PGM = encode_pgm(np.arange(10, dtype=np.uint8).reshape(2, 5))
+_HEATMAP = encode_heatmap(Heatmap(np.arange(6.0).reshape(2, 3), "gradcam", normalized=False))
+_VECTOR = encode_feature_vector(np.arange(12.0), 2, 2)
+# (valid encoding, offsets of its header bytes, decode then encode); a header is all but the payload
+_CODECS = {
+    "checkpoint": (
+        encode_params(_PARAMS),
+        _checkpoint_header_bytes(_PARAMS),
+        lambda data: encode_params(decode_params(data)),
+    ),
+    "heatmap": (_HEATMAP, range(len(_HEATMAP) - 6 * 8), lambda data: encode_heatmap(decode_heatmap(data))),
+    "feature vector": (
+        _VECTOR,
+        range(len(_VECTOR) - 12 * 8),
+        lambda data: encode_feature_vector(*decode_feature_vector(data)),
+    ),
+    "ppm": (_PPM, range(len(_PPM) - 36), lambda data: encode_ppm(decode_ppm(data))),
+    "pgm": (_PGM, range(len(_PGM) - 10), lambda data: encode_pgm(decode_pgm(data))),
+}
+
+
+def test_the_header_offsets_cover_exactly_the_header_lines():
+    data, offsets, _ = _CODECS["checkpoint"]
+    assert bytes(data[i] for i in offsets) == b"MLNS1\nc.w 1 2 3\nb 2\n"
+    assert all(data[offsets[-1]] == ord("\n") for data, offsets, _ in _CODECS.values())
+    assert all(reencode(data) == data for data, _, reencode in _CODECS.values())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    codec=st.sampled_from(sorted(_CODECS)),
+    edit=st.sampled_from(["insert", "delete", "replace"]),
+    where=st.integers(min_value=0),
+    byte=st.sampled_from(b"0123456789 \t\r\n+-_.xe\xff") | st.integers(0, 255),
+)
+def test_one_edited_header_byte_is_refused_or_decodes_to_exactly_the_edited_bytes(codec, edit, where, byte):
+    data, offsets, reencode = _CODECS[codec]
+    at = offsets[where % len(offsets)]
+    tail = data[at + (edit != "insert") :]
+    edited = data[:at] + (bytes([byte]) if edit != "delete" else b"") + tail
+    try:
+        again = reencode(edited)
+    except FormatError:
+        return
+    assert again == edited

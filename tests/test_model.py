@@ -9,7 +9,7 @@ import pytest
 
 from morphlens import model as model_module
 from morphlens.checkpoint import decode_params, encode_params
-from morphlens.config import CONFIG_KEYS, parse_config
+from morphlens.config import CONFIG_KEYS, RunConfig, parse_config
 from morphlens.data import MAX_RESOLUTION, build_corpus, generate_face, preprocess, split
 from morphlens.errors import (
     DataError,
@@ -49,6 +49,10 @@ def named_arrays(model):
 def test_plan_phi_zero_is_baseline():
     plan = plan_scaling(0.0, 1.2, 1.1, 1.15)
     assert plan.depth_mult == plan.width_mult == plan.resolution_mult == 1.0
+
+
+def test_plan_defaults_are_the_run_config_defaults():
+    assert plan_scaling(0.0) == RunConfig().plan()
 
 
 def test_plan_alpha_two_doubles_depth():
@@ -214,6 +218,15 @@ def test_untrained_predict_is_uniform_tie():
     result = predict(model, x)
     assert np.allclose(result.probabilities, [0.5, 0.5], atol=1e-15)
     assert result.predicted_class == 0
+
+
+def test_predict_takes_the_larger_logit_where_the_probabilities_tie():
+    model = build_model(default_plan(), 1)  # a zero head: the logits are its bias
+    model.layers[-1].bias.data[:] = [0.0, 1e-17]
+    result = predict(model, preprocess(generate_face(1, 0, 64).image, 64))
+    assert result.scores.tolist() == [0.0, 1e-17]
+    assert result.probabilities[0] == result.probabilities[1]
+    assert result.predicted_class == 1  # train's rule, logits[:, 1] > logits[:, 0]
 
 
 def test_predict_probabilities_sum_to_one():
