@@ -311,29 +311,24 @@ def global_average_pool(x) -> Tensor:
 
 
 def dense(x, weights, bias) -> Tensor:
-    """Affine map x @ weights + bias; accepts a single row or a batch of rows."""
+    """Affine map x @ weights + bias over a batch of rows."""
     x, weights, bias = _as_tensor(x), _as_tensor(weights), _as_tensor(bias)
     if weights.data.ndim != 2:
         raise ShapeMismatchError(f"dense weights must be 2-D (in, out), got {weights.data.shape}")
-    one_d = x.data.ndim == 1
-    rows = x.data[None, :] if one_d else x.data
+    rows = x.data
     if rows.ndim != 2:
-        raise ShapeMismatchError(f"dense input must be 1-D or 2-D, got {x.data.shape}")
+        raise ShapeMismatchError(f"dense input must be 2-D (batch, features), got {x.data.shape}")
     f_in, f_out = weights.shape
     if rows.shape[1] != f_in:
         raise ShapeMismatchError(f"dense: input has {rows.shape[1]} features, weights expect {f_in}")
     if bias.shape != (f_out,):
         raise ShapeMismatchError(f"dense: bias shape {bias.shape} does not match {f_out} outputs")
-    result = rows @ weights.data + bias.data
-    out = Tensor(result[0] if one_d else result)
+    out = Tensor(rows @ weights.data + bias.data)
     if _recording((x, weights, bias)):
 
         def _backward(grad: np.ndarray) -> None:
-            if one_d:
-                grad = grad[None, :]
             if x.requires_grad:
-                down = grad @ weights.data.T
-                _accumulate(x, down[0] if one_d else down, owned=True)
+                _accumulate(x, grad @ weights.data.T, owned=True)
             if weights.requires_grad:
                 _accumulate(weights, rows.T @ grad, owned=True)
             if bias.requires_grad:
@@ -357,15 +352,14 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     """Mean negative log-likelihood of integer labels under a softmax.
 
     Stabilized via the log-sum-exp shift, so saturated logits neither
-    overflow nor produce NaN. labels is an int for 1-D logits or a sequence
-    with one class index per row for 2-D logits.
+    overflow nor produce NaN. logits are (batch, classes) and labels hold
+    one class index per row.
     """
     logits = _as_tensor(logits)
-    one_d = logits.data.ndim == 1
-    z = logits.data[None, :] if one_d else logits.data
+    z = logits.data
     if z.ndim != 2:
-        raise ShapeMismatchError(f"softmax_cross_entropy logits must be 1-D or 2-D, got {logits.data.shape}")
-    label_array = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+        raise ShapeMismatchError(f"softmax_cross_entropy logits must be 2-D (batch, classes), got {z.shape}")
+    label_array = np.asarray(labels, dtype=np.int64)
     n, classes = z.shape
     if label_array.shape != (n,):
         raise ShapeMismatchError(f"softmax_cross_entropy: {n} logit rows but labels shape {label_array.shape}")
@@ -382,7 +376,7 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
             grad_z[row_index, label_array] -= 1.0
             grad_z /= n
             grad_z *= grad
-            _accumulate(logits, grad_z[0] if one_d else grad_z, owned=True)
+            _accumulate(logits, grad_z, owned=True)
 
         def _rerun(a: Tensor) -> Tensor:
             # One mean per slot that a replay folded into the rows. The labels

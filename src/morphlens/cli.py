@@ -43,8 +43,6 @@ from .model import (
 from .viz import RgbImage, colorize, decode_ppm, encode_pgm, encode_ppm, superimpose
 
 ENV_SEED = "MORPHLENS_SEED"
-SPLIT_RATIO = 0.8
-OVERLAY_ALPHA = 0.4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +115,7 @@ def _load_model(cfg: RunConfig) -> tuple[CnnModel, int]:
     if not ckpt.is_file():
         raise CliError(f"checkpoint not found: {ckpt} (run `morphlens train` first)")
     plan, seed = load_plan_sidecar(_sidecar_path(cfg.checkpoint))
-    model = model_shapes(plan, seed)  # the checkpoint sets every parameter, so no init draws
+    model = model_shapes(plan)  # the checkpoint sets every parameter, so no init draws
     model.load_parameters(load_params(ckpt))
     return model, seed
 
@@ -144,7 +142,7 @@ def cmd_train(cfg: RunConfig, ns: argparse.Namespace) -> int:
     corpus = load_corpus(cfg.corpus_dir)
     plan = cfg.plan()
     model = build_model(plan, cfg.seed)
-    part = split(corpus, SPLIT_RATIO, cfg.seed)
+    part = split(corpus, cfg.seed)
     report = train(model, part.train, cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.seed)
     if ckpt.parent != Path(""):
         ckpt.parent.mkdir(parents=True, exist_ok=True)
@@ -161,7 +159,7 @@ def cmd_eval(cfg: RunConfig, ns: argparse.Namespace) -> int:
     model, train_seed = _load_model(cfg)
     corpus = load_corpus(cfg.corpus_dir)
     # the sidecar seed reproduces the training partition exactly
-    part = split(corpus, SPLIT_RATIO, train_seed)
+    part = split(corpus, train_seed)
     predictions = [
         predict(model, preprocess(sample.image, model.input_resolution)).predicted_class
         for sample in part.test
@@ -188,7 +186,7 @@ def cmd_explain(cfg: RunConfig, ns: argparse.Namespace) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     maps = (sal, cam_n, gc_n, result.combined)
-    overlays = superimpose(_tensor_to_rgb(tensor), colorize(maps), OVERLAY_ALPHA)
+    overlays = superimpose(_tensor_to_rgb(tensor), colorize(maps))
     for name, heatmap, overlay in zip(("saliency", "cam", "gradcam", "ensemble"), maps, overlays):
         write_heatmap(out_dir / f"{name}.xhm", heatmap)
         write_file(out_dir / f"{name}.ppm", encode_ppm(overlay))

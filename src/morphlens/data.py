@@ -40,6 +40,9 @@ MAX_RESOLUTION = 1024
 LAMBDA_MIN = 0.25
 LAMBDA_MAX = 0.75
 
+# Share of each class that split puts in the train side.
+SPLIT_RATIO = 0.8
+
 
 @dataclass(frozen=True)
 class Provenance:
@@ -75,8 +78,6 @@ class LabeledImage:
 class DatasetSplit:
     train: list[LabeledImage]
     test: list[LabeledImage]
-    ratio: float
-    seed: int
 
 
 def _check_face_resolution(resolution: int) -> None:
@@ -181,29 +182,22 @@ def build_corpus(
     return faces + morphs
 
 
-def preprocess(image, resolution: int) -> np.ndarray:
+def preprocess(image: RgbImage, resolution: int) -> np.ndarray:
     """Scale to [0, 1], bilinear-resize to resolution x resolution, channel-first.
 
     For an image already at the target size the result is exactly pixel/255.
     """
     if resolution < 8:
         raise DataError(f"target resolution must be >= 8, got {resolution}")
-    pixels = image.pixels if isinstance(image, RgbImage) else np.asarray(image)
-    if pixels.ndim == 2:
-        pixels = np.repeat(pixels[:, :, None], 3, axis=2)
-    if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.shape[0] < 1 or pixels.shape[1] < 1:
-        raise DataError(f"degenerate source image with shape {np.asarray(pixels).shape}")
-    scaled = pixels.astype(np.float64) / 255.0
+    scaled = image.pixels.astype(np.float64) / 255.0
     resized = bilinear_resize(scaled, resolution, resolution)
     return np.ascontiguousarray(resized.transpose(2, 0, 1))
 
 
-def split(corpus: list[LabeledImage], ratio: float = 0.8, seed: int = 1) -> DatasetSplit:
-    """Seeded stratified partition; each class is cut at round(ratio * n)."""
+def split(corpus: list[LabeledImage], seed: int = 1) -> DatasetSplit:
+    """Seeded stratified partition; each class is cut at round(SPLIT_RATIO * n)."""
     if not corpus:
         raise DataError("cannot split an empty corpus")
-    if not 0.0 <= ratio <= 1.0:
-        raise DataError(f"split ratio must be in [0, 1], got {ratio}")
     rng = Lcg(derive_seed(seed, _SPLIT_STREAM))
     train: list[LabeledImage] = []
     test: list[LabeledImage] = []
@@ -211,12 +205,12 @@ def split(corpus: list[LabeledImage], ratio: float = 0.8, seed: int = 1) -> Data
         members = [s for s in corpus if s.label == label]
         order = list(range(len(members)))
         rng.shuffle(order)
-        n_train = int(np.floor(ratio * len(members) + 0.5))
+        n_train = int(np.floor(SPLIT_RATIO * len(members) + 0.5))
         train.extend(members[i] for i in order[:n_train])
         test.extend(members[i] for i in order[n_train:])
     rng.shuffle(train)
     rng.shuffle(test)
-    return DatasetSplit(train, test, ratio, seed)
+    return DatasetSplit(train, test)
 
 
 def save_corpus(directory, corpus: list[LabeledImage]) -> None:

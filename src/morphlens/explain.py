@@ -7,8 +7,8 @@ that produced them and the class they explain.
 * cam: the dense head's column for the target class contracted against the
   feature maps entering global average pooling; by construction the map's
   spatial mean plus the class bias reproduces the logit, which is asserted.
-* gradcam: channel importance = spatial mean of d score / d feature map,
-  recombined with the maps and rectified. At the last block the pre-ReLU
+* gradcam: channel importance = spatial mean of d score / d the last conv
+  block's feature maps, recombined with the maps and rectified. The pre-ReLU
   combination equals cam / (H * W), since pooling spreads the head weights
   uniformly over the grid.
 
@@ -76,19 +76,9 @@ class Heatmap:
 
 
 @dataclass(frozen=True, eq=False)
-class ImportanceWeights:
-    """Per-channel weights of a gradcam combination."""
-
-    values: np.ndarray
-    target_class: int
-
-
-@dataclass(frozen=True, eq=False)
 class EnsembleResult:
     combined: Heatmap
     feature_vector: np.ndarray
-    components: tuple[Heatmap, Heatmap, Heatmap]  # (saliency, cam, gradcam)
-    weights: tuple[float, float, float]
 
 
 def _check_class(target_class: int) -> None:
@@ -108,15 +98,12 @@ def _gap_head(model: CnnModel) -> DenseLayer:
     return layers[-1]
 
 
-def _feature_index(model: CnnModel, target_block: int | None) -> int:
-    """Activation index of a conv block's post-activation maps (default: the last block)."""
+def _feature_index(model: CnnModel) -> int:
+    """Activation index of the last conv block's post-activation maps."""
     blocks = model.conv_blocks()
     if blocks == 0:
         raise LayerIndexError("model has no conv blocks to target")
-    block = blocks - 1 if target_block is None else target_block
-    if not 0 <= block < blocks:
-        raise LayerIndexError(f"target block {block} is not a conv block (valid 0..{blocks - 1})")
-    return model.conv_feature_index(block)
+    return model.conv_feature_index(blocks - 1)
 
 
 def _explained_pass(model: CnnModel, image, target_class: int) -> tuple[Tensor, list[Tensor]]:
@@ -138,8 +125,6 @@ def _saliency(activations: list[Tensor], target_class: int) -> Heatmap:
 
 def _cam(head: DenseLayer, logits: Tensor, activations: list[Tensor], target_class: int) -> Heatmap:
     feature_maps = activations[-4].data[0]  # (K, h, w), the pool's input
-    if feature_maps.ndim != 3:
-        raise ArchitectureError(f"pooled features must be spatial maps, got shape {feature_maps.shape}")
     column = head.weights.data[:, target_class]
     values = np.tensordot(column, feature_maps, axes=([0], [0]))
     from_map = values.mean() + head.bias.data[target_class]
@@ -151,14 +136,11 @@ def _cam(head: DenseLayer, logits: Tensor, activations: list[Tensor], target_cla
     return Heatmap(values, "cam", normalized=False, target_class=target_class)
 
 
-def _gradcam(feature: Tensor, target_class: int, apply_relu: bool) -> tuple[Heatmap, ImportanceWeights]:
+def _gradcam(feature: Tensor, target_class: int, apply_relu: bool) -> tuple[Heatmap, np.ndarray]:
     importance = feature.grad[0].mean(axis=(1, 2))
     combination = np.tensordot(importance, feature.data[0], axes=([0], [0]))
     values = np.maximum(combination, 0.0) if apply_relu else combination
-    return (
-        Heatmap(values, "gradcam", normalized=False, target_class=target_class),
-        ImportanceWeights(importance, target_class),
-    )
+    return Heatmap(values, "gradcam", normalized=False, target_class=target_class), importance
 
 
 def explain_all(model: CnnModel, image, target_class: int) -> tuple[Heatmap, Heatmap, Heatmap]:
@@ -168,7 +150,7 @@ def explain_all(model: CnnModel, image, target_class: int) -> tuple[Heatmap, Hea
     """
     _check_class(target_class)
     head = _gap_head(model)
-    feature = _feature_index(model, None)
+    feature = _feature_index(model)
     logits, activations = _explained_pass(model, image, target_class)
     return (
         _saliency(activations, target_class),
@@ -196,21 +178,14 @@ def cam(model: CnnModel, image, target_class: int) -> Heatmap:
     return _cam(head, logits, activations, target_class)
 
 
-def gradcam(
-    model: CnnModel,
-    image,
-    target_class: int,
-    target_block: int | None = None,
-    apply_relu: bool = True,
-) -> tuple[Heatmap, ImportanceWeights]:
-    """Rectified importance-weighted combination of a conv block's feature maps.
+def gradcam(model: CnnModel, image, target_class: int, apply_relu: bool = True) -> tuple[Heatmap, np.ndarray]:
+    """Rectified importance-weighted combination of the last conv block's feature maps.
 
-    target_block indexes conv blocks (post-activation maps); it defaults to
-    the last one. apply_relu=False returns the raw linear combination, which
-    at the last block equals cam / (map cells).
+    Returns the map and the per-channel importance. apply_relu=False returns
+    the raw linear combination, which equals cam / (map cells).
     """
     _check_class(target_class)
-    feature = _feature_index(model, target_block)
+    feature = _feature_index(model)
     _, activations = _explained_pass(model, image, target_class)
     return _gradcam(activations[feature], target_class, apply_relu)
 
@@ -287,7 +262,7 @@ def ensemble(
     feature_vector = np.concatenate(
         [gradcam_map.values.ravel(), cam_map.values.ravel(), saliency.values.ravel()]
     )
-    return EnsembleResult(combined, feature_vector, maps, (float(w[0]), float(w[1]), float(w[2])))
+    return EnsembleResult(combined, feature_vector)
 
 
 def _encode(height: int, width: int, method: str, values: np.ndarray) -> bytes:

@@ -47,10 +47,6 @@ class MetricsReport:
     bpcer: float | None
     hter: float | None
 
-    @property
-    def undefined(self) -> frozenset[str]:
-        return frozenset(key for key in _METRIC_KEYS if getattr(self, key) is None)
-
 
 def confusion(predictions: Sequence[int], labels: Sequence[int]) -> ConfusionCounts:
     """Tally a 2x2 table; positives are label/prediction 1 (morphed)."""
@@ -85,7 +81,7 @@ def hter_from_rates(apcer: float, bpcer: float) -> float:
 
 
 def compute_metrics(counts: ConfusionCounts) -> MetricsReport:
-    """All classification and attack-detection rates, with undefined flags."""
+    """All classification and attack-detection rates; an undefined rate is None."""
     if counts.total == 0:
         raise MetricsError("confusion counts are all zero")
     accuracy = (counts.tp + counts.tn) / counts.total

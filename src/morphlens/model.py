@@ -20,7 +20,6 @@ from .autodiff import Tensor, backward, no_grad, softmax_cross_entropy
 from .config import RunConfig, format_pairs, format_value, parse_pairs, parse_value, read_text, write_file
 from .data import MAX_RESOLUTION, NOISE_AMPLITUDE, LabeledImage, preprocess
 from .errors import (
-    ArchitectureError,
     DataError,
     FormatError,
     LayerIndexError,
@@ -241,11 +240,9 @@ class DenseLayer:
 class CnnModel:
     """Ordered layer list with named parameters and a structure fingerprint."""
 
-    def __init__(self, layers: list, plan: ScalingPlan | None, input_resolution: int, seed: int):
+    def __init__(self, layers: list, input_resolution: int):
         self.layers = layers
-        self.plan = plan
         self.input_resolution = input_resolution
-        self.seed = seed
         description = "|".join([*(layer.describe() for layer in layers), f"input {input_resolution}"])
         self.fingerprint = hashlib.sha256(description.encode("ascii")).hexdigest()
 
@@ -259,15 +256,13 @@ class CnnModel:
         return sum(1 for layer in self.layers if layer.kind == "conv")
 
     def conv_feature_index(self, block: int) -> int:
-        """Activation-list index of the post-ReLU output of a conv block."""
+        """Activation-list index of the post-ReLU output of a conv block (a ReLU follows every conv)."""
         count = -1
         for i, layer in enumerate(self.layers):
             if layer.kind == "conv":
                 count += 1
                 if count == block:
-                    if i + 1 < len(self.layers) and self.layers[i + 1].kind == "relu":
-                        return i + 2  # activations[0] is the input
-                    return i + 1
+                    return i + 2  # activations[0] is the input
         raise LayerIndexError(f"conv block {block} does not exist (model has {count + 1})")
 
     def forward(self, x: Tensor, train: bool = False, rng=None) -> tuple[Tensor, list[Tensor]]:
@@ -369,7 +364,7 @@ def _conv_widths(plan: ScalingPlan) -> list[int]:
     return widths
 
 
-def model_shapes(plan: ScalingPlan, seed: int) -> CnnModel:
+def model_shapes(plan: ScalingPlan) -> CnnModel:
     """The planned architecture with every parameter zero and no draws made.
 
     A checkpoint load fills it through load_parameters; build_model fills it
@@ -413,7 +408,7 @@ def model_shapes(plan: ScalingPlan, seed: int) -> CnnModel:
             Tensor(np.zeros(NUM_CLASSES), requires_grad=True),
         )
     )
-    return CnnModel(layers, plan, resolution, seed)
+    return CnnModel(layers, resolution)
 
 
 def build_model(plan: ScalingPlan, seed: int) -> CnnModel:
@@ -426,7 +421,7 @@ def build_model(plan: ScalingPlan, seed: int) -> CnnModel:
     [0.5, 0.5]. All draws come from one seed-derived stream, so the same
     (plan, seed) rebuilds byte-identical parameters.
     """
-    model = model_shapes(plan, seed)
+    model = model_shapes(plan)
     rng = Lcg(derive_seed(seed, _INIT_STREAM))
     window = KERNEL_SIZE * KERNEL_SIZE
     # Per-channel std of the generator's pixel noise after the /255 preprocess.
@@ -490,9 +485,6 @@ def predict(model: CnnModel, image) -> Prediction:
 class TrainReport:
     epoch_losses: tuple[float, ...]
     train_accuracy: float
-    epochs: int
-    batch_size: int
-    seed: int
 
 
 def _eval_logits(model: CnnModel, inputs: np.ndarray, batch_size: int) -> np.ndarray:
@@ -512,19 +504,15 @@ def _eval_logits(model: CnnModel, inputs: np.ndarray, batch_size: int) -> np.nda
 
 
 def _balanced_order(pools: list[list[int]]) -> list[int]:
-    """Merge per-class index pools so every prefix tracks the class ratio."""
-    taken = [0 for _ in pools]
-    order: list[int] = []
-    total = sum(len(pool) for pool in pools)
-    while len(order) < total:
-        shares = [
-            (len(pool) - taken[c]) / len(pool) if pool else -1.0
-            for c, pool in enumerate(pools)
-        ]
-        c = int(np.argmax(shares))
-        order.append(pools[c][taken[c]])
-        taken[c] += 1
-    return order
+    """Merge per-class index pools so every prefix tracks the class ratio.
+
+    Item k of a pool goes at the share of its pool still to come at its turn,
+    (len - k) / len, highest share first; a tie goes to the lower class.
+    """
+    keyed = [
+        (-(len(pool) - k) / len(pool), c, item) for c, pool in enumerate(pools) for k, item in enumerate(pool)
+    ]
+    return [item for _, _, item in sorted(keyed)]
 
 
 def train(
@@ -559,8 +547,6 @@ def train(
         raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
     inputs = np.stack([preprocess(sample.image, model.input_resolution) for sample in dataset])
     labels = np.array([sample.label for sample in dataset], dtype=np.int64)
-    if not np.isin(labels, (0, 1)).all():
-        raise DataError("labels must be 0 (bona fide) or 1 (morphed)")
     params = [tensor for _, tensor in model.parameters()]
     # keep a step's blocks of several MB: without it a fresh process's
     # default train takes 116k minor faults, against 11k
@@ -614,33 +600,32 @@ def train(
             "training collapsed, try more data, more epochs or another learning rate"
         )
     accuracy = float((predictions == labels).mean())
-    return TrainReport(tuple(losses), accuracy, epochs, batch_size, seed)
+    return TrainReport(tuple(losses), accuracy)
 
 
 def _activation_grid(values: np.ndarray) -> np.ndarray:
-    """Tile channels into a square grayscale grid, each tile min-max scaled."""
-    array = values
-    if array.ndim == 4:
-        array = array[0]
-    if array.ndim == 2:  # (batch, features) -> feature channels of 1x1 tiles
-        array = array[0]
+    """Tile one sample's channels into a square grayscale grid, min-max scaled.
+
+    A spatial (1, K, H, W) activation gives one H x W tile per channel, each
+    scaled by its own range. A feature vector (1, K) gives one cell per
+    feature, all scaled by the vector's range: a 1x1 tile of its own would
+    always be 0. A constant tile or vector is 0.
+    """
+    array = values[0]
     if array.ndim == 1:
         array = array[:, None, None]
-    if array.ndim != 3:
-        raise LayerIndexError(f"cannot tile activation of shape {values.shape}")
+        low, high = array.min(), array.max()
+    else:
+        low, high = array.min(axis=(1, 2), keepdims=True), array.max(axis=(1, 2), keepdims=True)
+    span = high - low
+    scaled = np.divide(array - low, span, out=np.zeros_like(array), where=span > 0)
     channels, height, width = array.shape
     side = math.isqrt(channels)
     if side * side < channels:
         side += 1
-    grid = np.zeros((side * height, side * width), dtype=np.float64)
-    for k in range(channels):
-        tile = array[k]
-        low, high = tile.min(), tile.max()
-        row, col = divmod(k, side)
-        if high > low:
-            grid[row * height : (row + 1) * height, col * width : (col + 1) * width] = (tile - low) / (
-                high - low
-            )
+    tiles = np.zeros((side * side, height, width))
+    tiles[:channels] = scaled
+    grid = tiles.reshape(side, side, height, width).transpose(0, 2, 1, 3).reshape(side * height, side * width)
     return np.floor(255.0 * grid + 0.5).astype(np.uint8)
 
 
@@ -669,8 +654,7 @@ class ClassificationObjective:
 
     def __call__(self, x: Tensor) -> Tensor:
         logits, _ = self.model.forward(x, train=False)
-        batch = logits.shape[0] if logits.data.ndim == 2 else 1
-        return softmax_cross_entropy(logits, [self.label] * batch)
+        return softmax_cross_entropy(logits, [self.label] * logits.shape[0])
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return self.model.parameters()

@@ -15,6 +15,9 @@ import numpy as np
 from .config import read_header, read_size
 from .errors import FormatError, ImageError
 
+# Weight of the heat image in every overlay.
+OVERLAY_ALPHA = 0.4
+
 
 def _as_uint8(array: np.ndarray, refusal: str) -> np.ndarray:
     """array as uint8 if it is uint8 or integers in [0, 255]; else ImageError(refusal + its dtype)."""
@@ -71,8 +74,8 @@ def colorize(heatmaps: Sequence) -> tuple[RgbImage, ...]:
     return tuple(RgbImage(p) for p in pixels)
 
 
-def superimpose(base: RgbImage, heats: Sequence[RgbImage], alpha: float = 0.4) -> tuple[RgbImage, ...]:
-    """Per-channel blend round((1 - alpha) * base + alpha * heat) of each heat.
+def superimpose(base: RgbImage, heats: Sequence[RgbImage]) -> tuple[RgbImage, ...]:
+    """Per-channel blend round((1 - OVERLAY_ALPHA) * base + OVERLAY_ALPHA * heat) of each heat.
 
     The heats are stacked and blended onto base in one pass, one RgbImage each.
     """
@@ -84,10 +87,8 @@ def superimpose(base: RgbImage, heats: Sequence[RgbImage], alpha: float = 0.4) -
             raise ImageError(
                 f"superimpose: base {base.height}x{base.width} and heat {h.height}x{h.width} differ"
             )
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     stacked = np.stack([h.pixels for h in heats]).astype(np.float64)
-    mixed = (1.0 - alpha) * base.pixels.astype(np.float64) + alpha * stacked
+    mixed = (1.0 - OVERLAY_ALPHA) * base.pixels.astype(np.float64) + OVERLAY_ALPHA * stacked
     return tuple(RgbImage(p) for p in np.floor(mixed + 0.5).astype(np.uint8))
 
 

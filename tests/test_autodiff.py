@@ -430,22 +430,22 @@ def test_gap_rejects_empty_grid_and_wrong_rank():
 
 
 def test_dense_identity_and_dot():
-    x = Tensor(np.array([3.0, -1.0]))
+    x = Tensor(np.array([[3.0, -1.0]]))
     identity = Tensor(np.eye(2))
     assert np.array_equal(dense(x, identity, Tensor(np.zeros(2))).data, x.data)
-    out = dense(Tensor([1.0, 1.0]), Tensor([[2.0], [3.0]]), Tensor([1.0]))
-    assert np.array_equal(out.data, [6.0])
+    out = dense(Tensor([[1.0, 1.0]]), Tensor([[2.0], [3.0]]), Tensor([1.0]))
+    assert np.array_equal(out.data, [[6.0]])
 
 
 def test_dense_weight_gradient_is_outer_product():
     rng = np.random.default_rng(2)
-    x = Tensor(rng.normal(size=(4,)))
+    x = Tensor(rng.normal(size=(1, 4)))
     w = leaf(rng.normal(size=(4, 3)))
     b = leaf(rng.normal(size=(3,)))
-    upstream = rng.normal(size=(3,))
+    upstream = rng.normal(size=(1, 3))
     store = backward(reduce_sum(multiply(dense(x, w, b), Tensor(upstream))))
     assert np.allclose(store[w], np.outer(x.data, upstream))
-    assert np.allclose(store[b], upstream)
+    assert np.allclose(store[b], upstream[0])
 
 
 def test_dense_batch_rows_and_shape_errors():
@@ -462,49 +462,49 @@ def test_dense_batch_rows_and_shape_errors():
 
 
 def test_softmax_ce_uniform_case():
-    loss = softmax_cross_entropy(Tensor([0.0, 0.0]), 0)
+    loss = softmax_cross_entropy(Tensor([[0.0, 0.0]]), [0])
     assert float(loss.data) == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_softmax_ce_saturated_no_overflow():
-    loss = softmax_cross_entropy(Tensor([1000.0, 0.0]), 0)
+    loss = softmax_cross_entropy(Tensor([[1000.0, 0.0]]), [0])
     assert np.isfinite(loss.data)
     assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_softmax_ce_gradient_is_softmax_minus_onehot():
-    logits = leaf([0.3, -1.2, 2.0])
-    store = backward(softmax_cross_entropy(logits, 2))
+    logits = leaf([[0.3, -1.2, 2.0]])
+    store = backward(softmax_cross_entropy(logits, [2]))
     expo = np.exp(logits.data - logits.data.max())
     soft = expo / expo.sum()
-    soft[2] -= 1.0
+    soft[0, 2] -= 1.0
     assert np.allclose(store[logits], soft, atol=1e-12)
 
 
 def test_softmax_ce_gradient_vs_central_differences():
     rng = np.random.default_rng(9)
-    logits = leaf(rng.normal(size=(5,)))
-    store = backward(softmax_cross_entropy(logits, 3))
+    logits = leaf(rng.normal(size=(1, 5)))
+    store = backward(softmax_cross_entropy(logits, [3]))
     eps = 1e-6
     for i in range(5):
-        saved = logits.data[i]
-        logits.data[i] = saved + eps
-        upper = float(softmax_cross_entropy(logits, 3).data)
-        logits.data[i] = saved - eps
-        lower = float(softmax_cross_entropy(logits, 3).data)
-        logits.data[i] = saved
+        saved = logits.data[0, i]
+        logits.data[0, i] = saved + eps
+        upper = float(softmax_cross_entropy(logits, [3]).data)
+        logits.data[0, i] = saved - eps
+        lower = float(softmax_cross_entropy(logits, [3]).data)
+        logits.data[0, i] = saved
         numeric = (upper - lower) / (2 * eps)
-        assert abs(store[logits][i] - numeric) / max(abs(numeric), 1e-12) < 1e-6
+        assert abs(store[logits][0, i] - numeric) / max(abs(numeric), 1e-12) < 1e-6
 
 
 def test_softmax_ce_label_out_of_range():
     with pytest.raises(ValueError):
-        softmax_cross_entropy(Tensor([0.0, 0.0]), 2)
+        softmax_cross_entropy(Tensor([[0.0, 0.0]]), [2])
     with pytest.raises(ValueError):
-        softmax_cross_entropy(Tensor([0.0, 0.0]), -1)
+        softmax_cross_entropy(Tensor([[0.0, 0.0]]), [-1])
 
 
-@pytest.mark.parametrize("shape, labels", [((2,), 1), ((4, 2), [0, 1, 1, 0]), ((3, 5), [4, 0, 2])])
+@pytest.mark.parametrize("shape, labels", [((1, 2), [1]), ((4, 2), [0, 1, 1, 0]), ((3, 5), [4, 0, 2])])
 def test_softmax_ce_rerun_equals_the_checked_public_call_bit_for_bit(shape, labels):
     rng = np.random.default_rng(len(shape) + shape[-1])
     recorded = softmax_cross_entropy(leaf(rng.normal(size=shape)), labels)
@@ -513,12 +513,12 @@ def test_softmax_ce_rerun_equals_the_checked_public_call_bit_for_bit(shape, labe
         with no_grad():
             replayed = recorded._rerun(moved)
         assert replayed.data.tobytes() == softmax_cross_entropy(moved, labels).data.tobytes()
-        z = np.atleast_2d(moved.data)
+        z = moved.data
         log_probs = z - z.max(axis=1, keepdims=True)
         log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
         assert replayed.data.tobytes() == (-log_probs[np.arange(len(z)), labels].mean()).tobytes()
     # the public op still checks what the rerun no longer does
-    rows = 1 if len(shape) == 1 else shape[0]
+    rows = shape[0]
     with pytest.raises(ValueError):
         softmax_cross_entropy(Tensor(rng.normal(size=shape)), [shape[-1]] * rows)
     with pytest.raises(ShapeMismatchError):
@@ -712,7 +712,7 @@ class LinearNet:
 
 
 def test_gradient_check_linear_model_is_exact():
-    assert gradient_check(LinearNet(), np.array([0.7, -0.3])) < 1e-8
+    assert gradient_check(LinearNet(), np.array([[0.7, -0.3]])) < 1e-8
 
 
 class TwoConvNet:
@@ -773,14 +773,14 @@ def test_gradient_check_detects_corrupted_backward():
             out._backward = corrupted
             return reduce_sum(out)
 
-    error = gradient_check(Doubled(), np.array([0.7, -0.3]))
+    error = gradient_check(Doubled(), np.array([[0.7, -0.3]]))
     # |2g - g| / max(|2g|, |g|) = 0.5
     assert error == pytest.approx(0.5, abs=1e-6)
 
 
 def test_gradient_check_rejects_bad_epsilon():
     with pytest.raises(ValueError):
-        gradient_check(LinearNet(), np.array([1.0, 2.0]), epsilon=0.0)
+        gradient_check(LinearNet(), np.array([[1.0, 2.0]]), epsilon=0.0)
 
 
 def test_full_network_backward_vs_finite_differences():
@@ -920,7 +920,7 @@ class LeakyBiasNet(LinearNet):
 @pytest.mark.parametrize("k, expected", [(0, 3.0 / 3.7), (1, 3.0 / 2.7)])
 def test_replayed_oracle_still_sees_a_parameter_read_off_the_tape(k, expected):
     # analytic dL/dw = x; the full call also sees the bias move by 3 per unit of w[k]
-    error = gradient_check(LeakyBiasNet(k), np.array([0.7, -0.3]))
+    error = gradient_check(LeakyBiasNet(k), np.array([[0.7, -0.3]]))
     assert error >= 0.5
     assert error == pytest.approx(expected, rel=1e-6)
 
@@ -937,14 +937,14 @@ class TrainDropoutNet:
 
     def __call__(self, x):
         hidden = dropout(dense(x, self.w0, self.b0), 0.5, "train", Lcg(7))
-        return softmax_cross_entropy(dense(hidden, self.w1, self.b1), 1)
+        return softmax_cross_entropy(dense(hidden, self.w1, self.b1), [1])
 
     def parameters(self):
         return [("w0", self.w0), ("b0", self.b0), ("w1", self.w1), ("b1", self.b1)]
 
 
 def test_replayed_oracle_falls_back_to_full_calls_through_train_dropout(monkeypatch):
-    x = np.array([0.7, -0.3])
+    x = np.array([[0.7, -0.3]])
     replays = recorded_replays(monkeypatch)
     counting = CountingNet(TrainDropoutNet())
     worst = gradient_check(counting, x)
@@ -1047,7 +1047,7 @@ class ScaledLinearNet(LinearNet):
     """LinearNet with its output scaled by multiply, which refuses operands of two shapes."""
 
     def __call__(self, x):
-        return reduce_sum(multiply(dense(x, self.w, self.b), Tensor([0.5])))
+        return reduce_sum(multiply(dense(x, self.w, self.b), Tensor([[0.5]])))
 
 
 @pytest.mark.parametrize("net", [LinearNet, ScaledLinearNet])
@@ -1056,7 +1056,7 @@ def test_oracle_takes_full_calls_through_an_op_that_cannot_stack(monkeypatch, ne
     # stacked operand, so the stacked guard fails either way
     replays = recorded_replays(monkeypatch)
     counting = CountingNet(net())
-    assert gradient_check(counting, np.array([0.7, -0.3])) == full_call_gradient_check(net(), [0.7, -0.3])
+    assert gradient_check(counting, np.array([[0.7, -0.3]])) == full_call_gradient_check(net(), [[0.7, -0.3]])
     # the recording, then per tensor the guard call and two full calls per component
     assert counting.calls == 1 + (1 + 2 * 2) + (1 + 2 * 1)
     # the stacked guard replay is each tensor's only replay

@@ -517,7 +517,7 @@ def test_explain_colorizes_and_blends_the_four_maps_in_one_call(capsys, monkeypa
     code, _, err = run(capsys, "explain", "--config", "run.cfg", "--image", str(image))
     assert code == 0, err
     assert [name for name, _ in calls] == ["colorize", "superimpose"]
-    (_, (maps,)), (_, (_, heats, _)) = calls
+    (_, (maps,)), (_, (_, heats)) = calls
     assert [m.method for m in maps] == ["saliency", "cam", "gradcam", "ensemble"]
     assert len(heats) == 4
 
@@ -626,6 +626,21 @@ def test_dump_layer_writes_activation_grid(capsys):
     assert "layer 0" in out
 
 
+@pytest.mark.parametrize("index, cells", [(5, 8), (6, 8), (7, 2)], ids=["gap", "dropout", "logits"])
+def test_dump_layer_scales_a_feature_vector_by_its_own_range(capsys, index, cells):
+    image = run_chain(capsys, "gen-data", "train")
+    code, _, err = run(
+        capsys, "dump-layer", "--config", "run.cfg", "--image", str(image), "--layer-index", str(index)
+    )
+    assert code == 0, err
+    grid = decode_pgm(Path(f"out/layer_{index:02d}.pgm").read_bytes())
+    # one 1x1 cell per feature, in the smallest square that holds them all
+    side = math.isqrt(cells - 1) + 1
+    assert grid.shape == (side, side)
+    assert grid.max() == 255
+    assert not grid.reshape(-1)[cells:].any()
+
+
 def test_dump_layer_rejects_bad_index(capsys):
     image = run_chain(capsys, "gen-data", "train")
     code, _, err = run(
@@ -658,12 +673,25 @@ def test_a_bad_phi_in_the_plan_sidecar_is_refused_in_one_error_line(capsys, comm
     assert not Path("out").exists()
 
 
-@pytest.mark.parametrize("key, reason", [("base_width", "parameter maximum"), ("base_depth", "block maximum")])
-def test_an_oversized_plan_in_the_sidecar_is_refused_in_one_error_line(capsys, key, reason):
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("base_width", "100000", "parameter maximum"),
+        ("base_depth", "100000", "block maximum"),
+        # a plan twice the width of the trained one: the checkpoint's shapes no longer fit
+        (
+            "base_width",
+            "8",
+            "error: checkpoint parameter 'conv0.kernels' has shape (4, 3, 3, 3), model expects (8, 3, 3, 3)\n",
+        ),
+    ],
+    ids=["base_width-parameter maximum", "base_depth-block maximum", "base_width-checkpoint shape"],
+)
+def test_an_oversized_plan_in_the_sidecar_is_refused_in_one_error_line(capsys, key, value, reason):
     run_chain(capsys, "gen-data", "train")
     sidecar = Path("model.ckpt.plan")
     text = sidecar.read_text(encoding="ascii")
-    lines = [f"{key}=100000" if line.startswith(f"{key}=") else line for line in text.splitlines()]
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line for line in text.splitlines()]
     sidecar.write_text("\n".join(lines) + "\n", encoding="ascii")
     code, out, err = run(capsys, "eval", "--config", "run.cfg")
     assert code == 1
@@ -696,6 +724,12 @@ def _corrupt_checkpoint_name(path):
     Path(path).write_bytes(blob.replace(b"MLNS1\n", b"MLNS1\n\xff", 1))
 
 
+def _set_blend_weight(path, line_no, weight):
+    lines = Path(path).read_text(encoding="ascii").splitlines(keepends=True)
+    lines[line_no - 1] = lines[line_no - 1].rsplit("\t", 1)[0] + f"\t{weight}\n"
+    Path(path).write_text("".join(lines), encoding="ascii")
+
+
 @pytest.mark.parametrize(
     "command, corrupt, reason",
     [
@@ -703,10 +737,16 @@ def _corrupt_checkpoint_name(path):
         ("eval", lambda: _append_non_ascii("model.ckpt.plan"), "plan sidecar model.ckpt.plan is not ASCII text"),
         ("train", lambda: _append_non_ascii("corpus/manifest.tsv"), "manifest corpus/manifest.tsv is not ASCII"),
         ("dump-layer", lambda: _corrupt_checkpoint_name("model.ckpt"), "non-ASCII parameter name"),
+        # line 7 is the first morph of the 6 + 6 corpus
+        (
+            "eval",
+            lambda: _set_blend_weight("corpus/manifest.tsv", 7, "x"),
+            "error: manifest line 7 has blend weight 'x'\n",
+        ),
     ],
-    ids=["config", "sidecar", "manifest", "checkpoint"],
+    ids=["config", "sidecar", "manifest", "checkpoint", "manifest-blend-weight"],
 )
-def test_a_non_ascii_byte_in_a_text_file_is_refused_in_one_error_line(capsys, command, corrupt, reason):
+def test_a_corrupt_text_file_is_refused_in_one_error_line(capsys, command, corrupt, reason):
     image = run_chain(capsys, "gen-data", "train")
     corrupt()
     extra = ["--image", str(image), "--layer-index", "1"] if command == "dump-layer" else []

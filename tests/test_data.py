@@ -7,6 +7,7 @@ from morphlens.data import (
     LAMBDA_MAX,
     LAMBDA_MIN,
     MAX_RESOLUTION,
+    SPLIT_RATIO,
     DatasetSplit,
     LabeledImage,
     Provenance,
@@ -186,19 +187,13 @@ def test_preprocess_constant_image():
 def test_preprocess_checkerboard_midpoint():
     board = np.zeros((2, 2, 3), dtype=np.uint8)
     board[0, 1] = board[1, 0] = 255
-    tensor = preprocess(board, 9)
+    tensor = preprocess(RgbImage(board), 9)
     assert tensor[0, 4, 4] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_preprocess_grayscale_and_errors():
-    gray = np.full((12, 12), 100, dtype=np.uint8)
-    tensor = preprocess(gray, 12)
-    assert tensor.shape == (3, 12, 12)
-    assert np.allclose(tensor, 100 / 255.0)
+def test_preprocess_refuses_a_side_below_8():
     with pytest.raises(DataError):
-        preprocess(gray, 7)
-    with pytest.raises(DataError):
-        preprocess(np.zeros((0, 4, 3), dtype=np.uint8), 8)
+        preprocess(RgbImage(np.full((12, 12, 3), 100, dtype=np.uint8)), 7)
 
 
 def broadcast_resize(values, out_h, out_w):
@@ -219,7 +214,7 @@ def broadcast_resize(values, out_h, out_w):
 
 @pytest.mark.parametrize("phi", [1.0, 2.0])
 def test_resizing_channel_by_channel_gives_the_broadcast_bits(phi):
-    side = model_shapes(plan_scaling(phi), 0).input_resolution
+    side = model_shapes(plan_scaling(phi)).input_resolution
     assert side in (76, 84)  # the preprocess sizes of a 64-pixel corpus at phi = 1 and 2
     image = generate_face(3, 1, 64).image.pixels.astype(np.float64) / 255.0
     resized = bilinear_resize(image, side, side)
@@ -235,7 +230,7 @@ def test_resizing_channel_by_channel_gives_the_broadcast_bits(phi):
 
 def test_split_exact_ten_samples():
     corpus = build_corpus(5, 5, seed=8, resolution=16)
-    parts = split(corpus, 0.8, seed=1)
+    parts = split(corpus, seed=1)
     assert isinstance(parts, DatasetSplit)
     assert len(parts.train) == 8 and len(parts.test) == 2
     assert sum(s.label for s in parts.train) == 4
@@ -244,8 +239,8 @@ def test_split_exact_ten_samples():
 
 def test_split_deterministic_and_disjoint():
     corpus = build_corpus(8, 6, seed=2, resolution=16)
-    a = split(corpus, 0.8, seed=5)
-    b = split(corpus, 0.8, seed=5)
+    a = split(corpus, seed=5)
+    b = split(corpus, seed=5)
     assert [s.uid for s in a.train] == [s.uid for s in b.train]
     assert [s.uid for s in a.test] == [s.uid for s in b.test]
     train_ids = {s.uid for s in a.train}
@@ -260,19 +255,15 @@ def test_split_ratio_within_one_sample_per_class():
         nb = int(rng.integers(3, 12))
         nm = int(rng.integers(1, nb * (nb - 1) // 2 + 1))
         corpus = build_corpus(nb, nm, seed=trial, resolution=16)
-        ratio = float(rng.choice([0.5, 0.7, 0.8]))
-        parts = split(corpus, ratio, seed=trial)
+        parts = split(corpus, seed=trial)
         for label, total in ((0, nb), (1, nm)):
             got = sum(1 for s in parts.train if s.label == label)
-            assert abs(got - ratio * total) <= 0.5 + 1e-9
+            assert abs(got - SPLIT_RATIO * total) <= 0.5 + 1e-9
 
 
 def test_split_errors():
     with pytest.raises(DataError):
-        split([], 0.8, seed=1)
-    corpus = build_corpus(3, 1, seed=1, resolution=16)
-    with pytest.raises(DataError):
-        split(corpus, 1.2, seed=1)
+        split([], seed=1)
 
 
 # save / load

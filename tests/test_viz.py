@@ -6,6 +6,7 @@ import pytest
 from morphlens.errors import FormatError, ImageError
 from morphlens.explain import Heatmap
 from morphlens.viz import (
+    OVERLAY_ALPHA,
     RgbImage,
     colorize,
     decode_pgm,
@@ -78,18 +79,10 @@ def test_colorize_rejects_unnormalized_maps():
 # superimpose
 
 
-def test_superimpose_alpha_limits():
-    rng = np.random.default_rng(0)
-    base = RgbImage(rng.integers(0, 256, size=(4, 4, 3)).astype(np.uint8))
-    heat = RgbImage(rng.integers(0, 256, size=(4, 4, 3)).astype(np.uint8))
-    assert np.array_equal(superimpose(base, [heat], alpha=0.0)[0].pixels, base.pixels)
-    assert np.array_equal(superimpose(base, [heat], alpha=1.0)[0].pixels, heat.pixels)
-
-
 def test_superimpose_blend_arithmetic():
     base = RgbImage(np.full((1, 1, 3), 100, dtype=np.uint8))
     heat = RgbImage(np.array([[[200, 0, 0]]], dtype=np.uint8))
-    out = superimpose(base, [heat], alpha=0.4)[0]
+    out = superimpose(base, [heat])[0]
     assert tuple(out.pixels[0, 0]) == (140, 60, 60)
 
 
@@ -97,7 +90,7 @@ def test_superimpose_stays_between_inputs():
     rng = np.random.default_rng(1)
     base = RgbImage(rng.integers(0, 256, size=(8, 8, 3)).astype(np.uint8))
     heat = RgbImage(rng.integers(0, 256, size=(8, 8, 3)).astype(np.uint8))
-    out = superimpose(base, [heat], alpha=0.3)[0].pixels.astype(int)
+    out = superimpose(base, [heat])[0].pixels.astype(int)
     low = np.minimum(base.pixels, heat.pixels).astype(int)
     high = np.maximum(base.pixels, heat.pixels).astype(int)
     assert (out >= low - 1).all()
@@ -109,8 +102,6 @@ def test_superimpose_validation():
     heat = RgbImage(np.zeros((2, 3, 3), dtype=np.uint8))
     with pytest.raises(ImageError):
         superimpose(base, [heat])
-    with pytest.raises(ValueError):
-        superimpose(base, [base], alpha=1.5)
 
 
 # stacked colorize and superimpose
@@ -127,8 +118,8 @@ def ramp_reference(values):
     return np.stack([to_byte(red), to_byte(green), to_byte(blue)], axis=-1)
 
 
-def blend_reference(base, heat, alpha):
-    mixed = (1.0 - alpha) * base.astype(np.float64) + alpha * heat.astype(np.float64)
+def blend_reference(base, heat):
+    mixed = (1.0 - OVERLAY_ALPHA) * base.astype(np.float64) + OVERLAY_ALPHA * heat.astype(np.float64)
     return np.floor(mixed + 0.5).astype(np.uint8)
 
 
@@ -168,17 +159,16 @@ def test_stacked_colorize_equals_the_per_map_calls_byte_for_byte():
         assert image.pixels.tobytes() == ramp_reference(heatmap.values).tobytes()
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.4, 0.5, 0.3, 1.0])
-def test_stacked_superimpose_equals_the_per_map_calls_byte_for_byte(alpha):
+def test_stacked_superimpose_equals_the_per_map_calls_byte_for_byte():
     rng = np.random.default_rng(15)
     base = RgbImage(rng.integers(0, 256, size=(5, 8, 3)).astype(np.uint8))
     heats = list(colorize(stack_maps())) + [RgbImage(rng.integers(0, 256, size=(5, 8, 3)).astype(np.uint8))]
-    stacked = superimpose(base, heats, alpha)
+    stacked = superimpose(base, heats)
     assert isinstance(stacked, tuple) and len(stacked) == len(heats)
     for heat, image in zip(heats, stacked):
-        (single,) = superimpose(base, [heat], alpha)
+        (single,) = superimpose(base, [heat])
         assert image.pixels.tobytes() == single.pixels.tobytes()
-        assert image.pixels.tobytes() == blend_reference(base.pixels, heat.pixels, alpha).tobytes()
+        assert image.pixels.tobytes() == blend_reference(base.pixels, heat.pixels).tobytes()
 
 
 def test_stacked_calls_refuse_an_empty_or_mixed_stack():
