@@ -1,9 +1,9 @@
 """Command-line interface: gen-data, train, eval, explain, dump-layer.
 
 Every flag mirrors a config key (underscores become hyphens); precedence is
-defaults < --config file < flags < the MORPHLENS_SEED environment variable
-(seed only). All failures print one `error: ...` line to stderr and exit
-nonzero; completed commands exit 0 with byte-deterministic outputs.
+defaults < --config file < flags. All failures print one `error: ...` line
+to stderr and exit nonzero; completed commands exit 0 with byte-deterministic
+outputs.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ from .model import (
     train,
 )
 from .viz import RgbImage, colorize, decode_ppm, encode_pgm, encode_ppm, superimpose
-
-ENV_SEED = "MORPHLENS_SEED"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="morphlens", description="Morphed-face detection and explanation")
@@ -86,12 +83,6 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
         raw = getattr(ns, f"opt_{key}", None)
         if raw is not None:
             setattr(cfg, key, parse_value(key, raw))
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
-        try:
-            cfg.seed = int(env_seed)
-        except ValueError:
-            raise CliError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from None
     cfg.validate()
     return cfg
 

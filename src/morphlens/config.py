@@ -47,9 +47,7 @@ class RunConfig:
         The plan's and the ensemble weights' checks are the ones train and
         explain apply, so each message matches theirs; raises MorphLensError.
         """
-        # data and explain import this module, so they are imported here.
-        from .data import MAX_RESOLUTION
-        from .explain import check_weights
+        from .explain import check_weights  # explain imports this module
 
         if self.epochs < 0:
             raise CliError(f"epochs must be >= 0, got {self.epochs}")
@@ -59,17 +57,16 @@ class RunConfig:
             raise CliError(f"learning-rate must be positive and finite, got {self.learning_rate!r}")
         if self.n_bonafide < 0 or self.n_morphed < 0:
             raise CliError("corpus sizes must be non-negative")
-        if self.base_resolution > MAX_RESOLUTION:
-            message = f"base resolution {self.base_resolution} is above the {MAX_RESOLUTION}-pixel maximum"
-            raise CliError(message)
         self.plan()
         check_weights(self.ensemble_weights)
 
     def plan(self):
-        """The scaling plan of phi, the coefficients and the base sizes; raises PlanConstraintError."""
-        from .model import PLAN_KEYS, plan_scaling  # model imports this module
+        """The config's scaling plan; raises PlanConstraintError if no model can be built from it."""
+        from .model import PLAN_KEYS, architecture, plan_scaling  # model imports this module
 
-        return plan_scaling(**{key: getattr(self, key) for key in PLAN_KEYS}, tau=self.tau)
+        plan = plan_scaling(**{key: getattr(self, key) for key in PLAN_KEYS}, tau=self.tau)
+        architecture(plan)
+        return plan
 
 
 _KINDS: dict[str, str] = {}

@@ -194,7 +194,7 @@ def preprocess(image: RgbImage, resolution: int) -> np.ndarray:
     return np.ascontiguousarray(resized.transpose(2, 0, 1))
 
 
-def split(corpus: list[LabeledImage], seed: int = 1) -> DatasetSplit:
+def split(corpus: list[LabeledImage], seed: int) -> DatasetSplit:
     """Seeded stratified partition; each class is cut at round(SPLIT_RATIO * n)."""
     if not corpus:
         raise DataError("cannot split an empty corpus")

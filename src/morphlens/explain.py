@@ -235,12 +235,7 @@ def check_weights(weights) -> np.ndarray:
     return w / total
 
 
-def ensemble(
-    saliency: Heatmap,
-    cam_map: Heatmap,
-    gradcam_map: Heatmap,
-    weights=(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
-) -> EnsembleResult:
+def ensemble(saliency: Heatmap, cam_map: Heatmap, gradcam_map: Heatmap, weights) -> EnsembleResult:
     """Convex combination of normalized same-size maps, re-normalized.
 
     weights follow the argument order (saliency, cam, gradcam); the feature

@@ -333,13 +333,26 @@ def _zero_sum_kernel(in_channels: int, rms: float, rng: Lcg) -> np.ndarray:
             return v * (rms / scale)
 
 
-def _conv_widths(plan: ScalingPlan) -> list[int]:
-    """Channels of each planned conv block; a plan over MAX_DEPTH or MAX_PARAMETERS is refused.
+def architecture(plan: ScalingPlan) -> tuple[int, list[int]]:
+    """The planned input side and the channels of each conv block, with nothing allocated.
 
-    Each size is compared before it is rounded to an integer, and a base too
-    large for the caps is never multiplied out, so no plan overflows or
-    allocates on its way to a refusal.
+    A plan whose side leaves [8, MAX_RESOLUTION], or that is deeper than
+    MAX_DEPTH conv blocks or larger than MAX_PARAMETERS parameters, is
+    refused. Each size is compared before it is rounded to an integer, and a
+    base too large for the caps is never multiplied out, so no plan
+    overflows on its way to a refusal.
     """
+    # The side rounds to a multiple of 4, so one scaled below
+    # MAX_RESOLUTION + 1.5 rounds to at most that.
+    scaled = plan.base_resolution * plan.resolution_mult if plan.base_resolution <= MAX_RESOLUTION + 1 else math.inf
+    if not scaled < MAX_RESOLUTION + 1.5:
+        raise PlanConstraintError(
+            f"scaled input resolution {plan.base_resolution} * {plan.resolution_mult!r} "
+            f"is above the {MAX_RESOLUTION}-pixel maximum"
+        )
+    side = 4 * _round_half_up(_round_half_up(scaled) / 4.0)
+    if side < 8:
+        raise PlanConstraintError(f"scaled input resolution {side} is below the 8-pixel minimum")
     if plan.base_depth > MAX_DEPTH or not plan.base_depth * plan.depth_mult < MAX_DEPTH + 0.5:
         raise PlanConstraintError(
             f"planned depth {plan.base_depth} * {plan.depth_mult!r} is above the {MAX_DEPTH}-block maximum"
@@ -361,30 +374,17 @@ def _conv_widths(plan: ScalingPlan) -> list[int]:
             )
         widths.append(width)
         in_channels = width
-    return widths
+    return side, widths
 
 
 def model_shapes(plan: ScalingPlan) -> CnnModel:
     """The planned architecture with every parameter zero and no draws made.
 
     A checkpoint load fills it through load_parameters; build_model fills it
-    from the seed's init stream. A plan whose input side leaves
-    [8, MAX_RESOLUTION], or that is deeper than MAX_DEPTH conv blocks or
-    larger than MAX_PARAMETERS parameters, is refused before any allocation.
+    from the seed's init stream. architecture refuses a plan before any
+    allocation.
     """
-    # As in _conv_widths, a base too large for any multiplier >= 1 is never
-    # multiplied out: a huge one would overflow. The side rounds to a multiple
-    # of 4, so one scaled below MAX_RESOLUTION + 1.5 rounds to at most that.
-    scaled = plan.base_resolution * plan.resolution_mult if plan.base_resolution <= MAX_RESOLUTION + 1 else math.inf
-    if not scaled < MAX_RESOLUTION + 1.5:
-        raise PlanConstraintError(
-            f"scaled input resolution {plan.base_resolution} * {plan.resolution_mult!r} "
-            f"is above the {MAX_RESOLUTION}-pixel maximum"
-        )
-    resolution = 4 * _round_half_up(_round_half_up(scaled) / 4.0)
-    if resolution < 8:
-        raise PlanConstraintError(f"scaled input resolution {resolution} is below the 8-pixel minimum")
-    widths = _conv_widths(plan)
+    resolution, widths = architecture(plan)
     layers: list = []
     in_channels = 3
     for stage, width in enumerate(widths):

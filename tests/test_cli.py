@@ -39,7 +39,6 @@ seed=3
 @pytest.fixture(autouse=True)
 def scratch(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("MORPHLENS_SEED", raising=False)
     Path("run.cfg").write_text(SMALL_CONFIG, encoding="ascii")
     return tmp_path
 
@@ -107,14 +106,16 @@ def test_gen_data_rejects_a_huge_resolution_in_one_error_line(capsys):
     assert "1024" in err
 
 
-@pytest.mark.parametrize("resolution", ["100000000", "5"])
+@pytest.mark.parametrize("resolution", ["100000000", "5", "1025"])
 def test_gen_data_checks_the_resolution_of_an_empty_corpus(capsys, resolution):
     flags = ["--n-bonafide", "0", "--n-morphed", "0", "--base-resolution", resolution]
     code, out, err = run(capsys, "gen-data", "--config", "run.cfg", *flags)
-    # RunConfig.validate refuses the cap for every command; the face check refuses the rest
+    # RunConfig.validate refuses a plan with no side for every command; 1025 plans
+    # a 1024-pixel side, and the face check refuses it
     message = {
-        "100000000": "base resolution 100000000 is above the 1024-pixel maximum",
-        "5": "face resolution must be in [8, 1024], got 5",
+        "100000000": "scaled input resolution 100000000 * 1.0 is above the 1024-pixel maximum",
+        "5": "scaled input resolution 4 is below the 8-pixel minimum",
+        "1025": "face resolution must be in [8, 1024], got 1025",
     }[resolution]
     assert code == 1
     assert out == ""
@@ -184,24 +185,53 @@ def test_a_bad_schedule_or_corpus_size_is_one_error_line_for_every_command(capsy
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, message, trained",
     [
-        (["eval", "--phi", "-1"], "phi must be finite and >= 0, got -1.0"),
-        (["eval", "--tau", "nan"], "tau must be finite and >= 0, got nan"),
+        (["eval", "--phi", "-1"], "phi must be finite and >= 0, got -1.0", True),
+        (["eval", "--tau", "nan"], "tau must be finite and >= 0, got nan", True),
         # a value argparse would take for an option reaches its check as --flag=VALUE
-        (["gen-data", "--phi=-1e3"], "phi must be finite and >= 0, got -1000.0"),
-        (["train", "--learning-rate=-inf"], "learning-rate must be positive and finite, got -inf"),
-        (["eval", "--alpha", "0.5"], "alpha, beta, gamma must each be >= 1, got (0.5, 1.1, 1.15)"),
-        (["eval", "--base-resolution", "5000"], "base resolution 5000 is above the 1024-pixel maximum"),
+        (["gen-data", "--phi=-1e3"], "phi must be finite and >= 0, got -1000.0", True),
+        (["train", "--learning-rate=-inf"], "learning-rate must be positive and finite, got -inf", True),
+        (["eval", "--alpha", "0.5"], "alpha, beta, gamma must each be >= 1, got (0.5, 1.1, 1.15)", True),
+        (
+            ["eval", "--base-resolution", "5000"],
+            "scaled input resolution 5000 * 1.0 is above the 1024-pixel maximum",
+            True,
+        ),
         (
             ["gen-data", "--n-bonafide", "4", "--n-morphed", "2", "--ensemble-weights", "2,2,2"],
             "ensemble weights must sum to 1, got 6.0",
+            True,
+        ),
+        # no corpus exists: the plan is refused before the manifest is looked for
+        (["train", "--base-depth", "100"], "planned depth 100 * 1.0 is above the 16-block maximum", False),
+        (
+            ["train", "--base-width", "100000"],
+            "planned model is above the 10000000-parameter maximum at conv1 (base width 100000, width multiplier 1.0)",
+            False,
+        ),
+        (
+            ["train", "--phi", "30"],
+            "scaled input resolution 16 * 66.21177195678577 is above the 1024-pixel maximum",
+            False,
         ),
     ],
-    ids=["phi", "tau", "phi-equals", "learning-rate-equals", "alpha", "base-resolution", "ensemble-weights"],
+    ids=[
+        "phi",
+        "tau",
+        "phi-equals",
+        "learning-rate-equals",
+        "alpha",
+        "base-resolution",
+        "ensemble-weights",
+        "base-depth-no-corpus",
+        "base-width-no-corpus",
+        "phi-30-no-corpus",
+    ],
 )
-def test_a_bad_plan_resolution_or_weight_is_one_error_line_for_any_command(capsys, argv, message):
-    run_chain(capsys, "gen-data", "train")
+def test_a_bad_plan_resolution_or_weight_is_one_error_line_for_any_command(capsys, argv, message, trained):
+    if trained:
+        run_chain(capsys, "gen-data", "train")
     before = {path: path.read_bytes() for path in Path(".").rglob("*") if path.is_file()}
     code, out, err = run(capsys, argv[0], "--config", "run.cfg", *argv[1:])
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -816,15 +846,6 @@ def test_a_flag_of_one_call_does_not_leak_into_the_next(recorded):
     assert not hasattr(third, "image")
 
 
-def test_the_seed_variable_is_read_on_every_call(recorded, monkeypatch):
-    for value in ("5", "6"):
-        monkeypatch.setenv("MORPHLENS_SEED", value)
-        assert main(["gen-data", "--seed", "9"]) == 0
-    monkeypatch.delenv("MORPHLENS_SEED")
-    assert main(["gen-data"]) == 0
-    assert [cfg.seed for cfg, _ in recorded] == [5, 6, 1]
-
-
 def test_an_unknown_flag_exits_2_after_a_successful_call(recorded, capsys):
     assert main(["gen-data", "--seed", "2"]) == 0
     with pytest.raises(SystemExit) as info:
@@ -853,7 +874,7 @@ def test_main_builds_its_parser_once_per_process(recorded, monkeypatch):
     assert len(recorded) == 2 * len(COMMANDS)
 
 
-# config precedence and env seed
+# config precedence: defaults < --config < flags, and nothing else
 
 
 def test_flag_overrides_config_file(capsys):
@@ -863,27 +884,15 @@ def test_flag_overrides_config_file(capsys):
     assert len(manifest.splitlines()) == 10
 
 
-def test_env_seed_overrides_config(capsys, monkeypatch):
-    run(capsys, "gen-data", "--config", "run.cfg", "--seed", "9", "--corpus-dir", "by_flag")
-    monkeypatch.setenv("MORPHLENS_SEED", "9")
-    run(capsys, "gen-data", "--config", "run.cfg", "--corpus-dir", "by_env")
+def test_the_environment_does_not_change_the_seed(capsys, monkeypatch):
+    def written(corpus_dir):
+        assert run(capsys, "gen-data", "--config", "run.cfg", "--seed", "9", "--corpus-dir", corpus_dir)[0] == 0
+        return {path.relative_to(corpus_dir): path.read_bytes() for path in Path(corpus_dir).rglob("*") if path.is_file()}
+
+    monkeypatch.setenv("MORPHLENS_SEED", "5")
+    with_env = written("with_env")
     monkeypatch.delenv("MORPHLENS_SEED")
-    run(capsys, "gen-data", "--config", "run.cfg", "--corpus-dir", "by_config")
-    by_flag = Path("by_flag/manifest.tsv").read_bytes()
-    by_env = Path("by_env/manifest.tsv").read_bytes()
-    by_config = Path("by_config/manifest.tsv").read_bytes()
-    assert by_env == by_flag
-    assert by_env != by_config
-    flag_image = Path("by_flag/bonafide/0000.ppm").read_bytes()
-    assert Path("by_env/bonafide/0000.ppm").read_bytes() == flag_image
-
-
-def test_env_seed_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("MORPHLENS_SEED", "soon")
-    code, _, err = run(capsys, "gen-data", "--config", "run.cfg")
-    assert code == 1
-    assert err.startswith("error:")
-    assert "MORPHLENS_SEED" in err
+    assert written("without") == with_env
 
 
 # every artifact goes through config.write_file

@@ -1,5 +1,6 @@
 """Run configuration: defaults, typed parsing, the print/parse fixpoint, the one reader, writer and header rule."""
 
+import itertools
 import os
 
 import numpy as np
@@ -30,6 +31,7 @@ from morphlens.explain import (
     encode_feature_vector,
     encode_heatmap,
 )
+from morphlens.model import model_shapes, plan_scaling
 from morphlens.viz import RgbImage, decode_pgm, decode_ppm, encode_pgm, encode_ppm
 
 
@@ -120,8 +122,9 @@ def test_load_config_file(tmp_path):
 def test_validate_accepts_the_defaults_and_the_edge_values():
     RunConfig().validate()
     RunConfig(epochs=0, batch_size=1, learning_rate=5e-324, n_bonafide=0, n_morphed=0).validate()
-    RunConfig(phi=0.0, tau=0.08, base_resolution=1024).validate()
-    RunConfig(base_resolution=1, ensemble_weights=(1.0, 0.0, 0.0)).validate()
+    # 1025 and 6 plan the 1024- and 8-pixel sides
+    RunConfig(phi=0.0, tau=0.08, base_resolution=1025).validate()
+    RunConfig(base_resolution=6, ensemble_weights=(1.0, 0.0, 0.0)).validate()
 
 
 @pytest.mark.parametrize(
@@ -149,7 +152,13 @@ def test_validate_refuses_a_bad_schedule_or_corpus_size(key, value, message):
         ("phi", -1.0, PlanConstraintError, "phi must be finite and >= 0, got -1.0"),
         ("tau", float("nan"), PlanConstraintError, "tau must be finite and >= 0, got nan"),
         ("alpha", 0.5, PlanConstraintError, "alpha, beta, gamma must each be >= 1, got (0.5, 1.1, 1.15)"),
-        ("base_resolution", 5000, CliError, "base resolution 5000 is above the 1024-pixel maximum"),
+        (
+            "base_resolution",
+            5000,
+            PlanConstraintError,
+            "scaled input resolution 5000 * 1.0 is above the 1024-pixel maximum",
+        ),
+        ("base_resolution", 5, PlanConstraintError, "scaled input resolution 4 is below the 8-pixel minimum"),
         ("base_resolution", 0, PlanConstraintError, "base depth, width, and resolution must be positive"),
         ("ensemble_weights", (2.0, 2.0, 2.0), ExplainError, "ensemble weights must sum to 1, got 6.0"),
         (
@@ -161,10 +170,31 @@ def test_validate_refuses_a_bad_schedule_or_corpus_size(key, value, message):
     ],
 )
 def test_validate_refuses_a_bad_plan_resolution_or_weight(key, value, error, message):
-    # the messages are those of plan_scaling and explain.ensemble, which make the same checks
+    # the messages are those of plan_scaling, model.architecture and explain.ensemble,
+    # which make the same checks
     with pytest.raises(error) as info:
         RunConfig(**{key: value}).validate()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.0, 3.0, 30.0])
+def test_validate_refuses_exactly_the_plans_model_shapes_refuses(phi):
+    outcomes = set()
+    for depth, width, side in itertools.product((1, 2, 12, 17), (1, 8, 300, 10**5), (1, 5, 6, 64, 1025, 1026)):
+        sizes = {"base_depth": depth, "base_width": width, "base_resolution": side}
+        try:
+            model_shapes(plan_scaling(phi, **sizes))
+            expected = None
+        except PlanConstraintError as exc:
+            expected = str(exc)
+        try:
+            RunConfig(phi=phi, **sizes).validate()
+            refused = None
+        except PlanConstraintError as exc:
+            refused = str(exc)
+        assert refused == expected, sizes
+        outcomes.add(expected is None)
+    assert outcomes == ({False} if phi == 30.0 else {True, False})
 
 
 # read_file and read_text

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from morphlens.autodiff import Tensor, backward, no_grad, select
+from morphlens.config import RunConfig
 from morphlens.errors import (
     ArchitectureError,
     ExplainError,
@@ -495,6 +496,8 @@ def test_upsample_rejects_shrinking():
 
 # ensemble
 
+EQUAL = RunConfig().ensemble_weights  # the weights explain uses by default
+
 
 def normalized_trio(seed):
     rng = np.random.default_rng(seed)
@@ -508,7 +511,7 @@ def normalized_trio(seed):
 def test_ensemble_identical_maps_are_a_fixed_point():
     base = normalize_map(Heatmap(np.arange(9.0).reshape(3, 3), "cam", normalized=False))
     parts = [Heatmap(base.values, m, normalized=True) for m in ("saliency", "cam", "gradcam")]
-    result = ensemble(*parts)
+    result = ensemble(*parts, EQUAL)
     assert np.allclose(result.combined.values, base.values, atol=1e-12)
 
 
@@ -540,7 +543,7 @@ def test_ensemble_combination_is_convex():
 
 def test_ensemble_feature_vector_order():
     s, c, g = normalized_trio(2)
-    result = ensemble(s, c, g)
+    result = ensemble(s, c, g, EQUAL)
     assert result.feature_vector.shape == (27,)
     assert np.array_equal(result.feature_vector[:9], g.values.ravel())
     assert np.array_equal(result.feature_vector[9:18], c.values.ravel())
@@ -560,16 +563,16 @@ def test_ensemble_single_pixel_case():
 
 def test_ensemble_target_class_propagation():
     s, c, g = normalized_trio(3)
-    assert ensemble(s, c, g).combined.target_class == 1
+    assert ensemble(s, c, g, EQUAL).combined.target_class == 1
     mixed = Heatmap(s.values, "saliency", normalized=True, target_class=0)
-    assert ensemble(mixed, c, g).combined.target_class is None
+    assert ensemble(mixed, c, g, EQUAL).combined.target_class is None
 
 
 def test_ensemble_rejects_bad_inputs():
     s, c, g = normalized_trio(4)
     small = normalize_map(Heatmap(np.arange(4.0).reshape(2, 2), "cam", normalized=False))
     with pytest.raises(ResolutionMismatchError):
-        ensemble(s, small, g)
+        ensemble(s, small, g, EQUAL)
     with pytest.raises(ExplainError):
         ensemble(s, c, g, (0.5, 0.75, -0.25))
     with pytest.raises(ExplainError):
@@ -578,7 +581,7 @@ def test_ensemble_rejects_bad_inputs():
         ensemble(s, c, g, (0.25, 0.25, 0.25, 0.25))
     raw = Heatmap(np.arange(9.0).reshape(3, 3), "cam", normalized=False, target_class=1)
     with pytest.raises(ExplainError):
-        ensemble(s, raw, g)
+        ensemble(s, raw, g, EQUAL)
 
 
 # XHM1 files
