@@ -380,8 +380,13 @@ def global_average_pool(x) -> Tensor:
     return out
 
 
+def _affine(rows: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """rows @ weights + bias, each row its own product: one GEMM over many rows may round a row by their count."""
+    return (rows[..., None, :] @ weights)[..., 0, :] + bias
+
+
 def dense(x, weights, bias) -> Tensor:
-    """Affine map x @ weights + bias over a batch of rows."""
+    """Affine map x @ weights + bias over a batch of rows; a row's output is the same bits at any batch size."""
     x, weights, bias = _as_tensor(x), _as_tensor(weights), _as_tensor(bias)
     if weights.data.ndim != 2:
         raise ShapeMismatchError(f"dense weights must be 2-D (in, out), got {weights.data.shape}")
@@ -393,7 +398,7 @@ def dense(x, weights, bias) -> Tensor:
         raise ShapeMismatchError(f"dense: input has {rows.shape[1]} features, weights expect {f_in}")
     if bias.shape != (f_out,):
         raise ShapeMismatchError(f"dense: bias shape {bias.shape} does not match {f_out} outputs")
-    out = Tensor(rows @ weights.data + bias.data)
+    out = Tensor(_affine(rows, weights.data, bias.data))
     if _recording((x, weights, bias)):
 
         def _backward(grad: np.ndarray) -> None:
@@ -407,12 +412,8 @@ def dense(x, weights, bias) -> Tensor:
         def _rerun(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
             # A replay folds its slots into a's rows, or stacks w as (slots,
             # in, out) or b as (slots, out), and gets (slots·rows, out) back.
-            # Each slot gets its own GEMM over the recorded row count: a
-            # GEMM's rounding of a row can depend on how many rows share the
-            # call.
-            per_slot = a.data.reshape(-1, len(rows), f_in) @ w.data.reshape(-1, f_in, f_out)
-            per_slot = per_slot + b.data.reshape(-1, 1, f_out)
-            return Tensor(per_slot.reshape(-1, f_out))
+            w_slots, b_slots = w.data.reshape(-1, 1, f_in, f_out), b.data.reshape(-1, 1, f_out)
+            return Tensor(_affine(a.data.reshape(-1, len(rows), f_in), w_slots, b_slots).reshape(-1, f_out))
 
         _attach(out, "dense", (x, weights, bias), _backward, _rerun)
     return out
@@ -451,8 +452,9 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
         def _rerun(a: Tensor) -> Tensor:
             # One mean per slot that a replay folded into the rows. The labels
             # were checked when this node was recorded; a replay keeps them.
+            # Made contiguous, each slot's n values sum in the recording's order.
             per_slot = _log_softmax(a.data.reshape(-1, classes)).reshape(-1, n, classes)
-            return Tensor(-per_slot[:, row_index, label_array].sum(axis=1) / n)
+            return Tensor(-np.ascontiguousarray(per_slot[:, row_index, label_array]).sum(axis=1) / n)
 
         _attach(out, "softmax_cross_entropy", (logits,), _backward, _rerun)
     return out

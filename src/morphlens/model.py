@@ -488,19 +488,10 @@ class TrainReport:
 
 
 def _eval_logits(model: CnnModel, inputs: np.ndarray, batch_size: int) -> np.ndarray:
-    """No-grad logits of every input, as one full-batch forward gives them.
-
-    The layers up to the head run in batch_size chunks, so no patch matrix
-    spans the whole split; they treat each sample on its own. The dense head
-    then runs once over all rows, because a GEMM's rounding of a row can
-    depend on how many rows share the call.
-    """
-    features = []
+    """No-grad logits of every input, in batch_size chunks so no patch matrix spans the whole split."""
     with no_grad():
-        for start in range(0, len(inputs), batch_size):
-            _, activations = model.forward(Tensor(inputs[start : start + batch_size]))
-            features.append(activations[-2].data)
-        return model.layers[-1].forward(Tensor(np.concatenate(features))).data
+        chunks = [model.forward(Tensor(inputs[i : i + batch_size]))[0].data for i in range(0, len(inputs), batch_size)]
+    return np.concatenate(chunks)
 
 
 def _balanced_order(pools: list[list[int]]) -> list[int]:

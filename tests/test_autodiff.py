@@ -565,6 +565,19 @@ def test_dense_batch_rows_and_shape_errors():
         dense(x, w, Tensor(np.zeros(4)))
 
 
+def test_dense_row_is_the_same_bits_in_any_batch_and_in_a_stacked_replay():
+    rng = np.random.default_rng(8)
+    rows, w, b = rng.normal(size=(40, 16)), leaf(rng.normal(size=(16, 2))), leaf(rng.normal(size=(2,)))
+    alone = np.concatenate([dense(Tensor(row[None]), w, b).data for row in rows])
+    recorded = dense(Tensor(rows), w, b)
+    assert recorded.data.tobytes() == alone.tobytes()
+    # weights or bias stacked as three slots replay each slot's rows as recorded
+    with no_grad():
+        by_weights = recorded._rerun(recorded._parents[0], Tensor(np.stack([w.data] * 3)), b)
+        by_bias = recorded._rerun(recorded._parents[0], w, Tensor(np.stack([b.data] * 3)))
+    assert by_weights.data.tobytes() == by_bias.data.tobytes() == np.concatenate([alone] * 3).tobytes()
+
+
 # softmax_cross_entropy
 
 
@@ -630,6 +643,17 @@ def test_softmax_ce_rerun_equals_the_checked_public_call_bit_for_bit(shape, labe
         softmax_cross_entropy(Tensor(rng.normal(size=shape)), [shape[-1]] * rows)
     with pytest.raises(ShapeMismatchError):
         softmax_cross_entropy(Tensor(rng.normal(size=shape)), [0] * (rows + 1))
+
+
+def test_softmax_ce_rerun_of_stacked_slots_sums_each_slot_as_recorded():
+    # 13 rows: numpy sums 8 or more contiguous values pairwise, a strided axis in order
+    rng = np.random.default_rng(13)
+    logits, labels = rng.normal(scale=3.0, size=(13, 2)), rng.integers(0, 2, size=13)
+    recorded = softmax_cross_entropy(leaf(logits), labels)
+    slots = [rng.normal(scale=3.0, size=(13, 2)) for _ in range(16)]
+    with no_grad():
+        replayed = recorded._rerun(Tensor(np.concatenate(slots)))
+    assert replayed.data.tobytes() == np.array([softmax_cross_entropy(z, labels).data for z in slots]).tobytes()
 
 
 def test_softmax_ce_batch_mean():
@@ -933,12 +957,12 @@ class CountingNet:
         return self.network.parameters()
 
 
-def randomized_objective(seed, phi=0.0):
+def randomized_objective(seed, phi=0.0, rows=1):
     model = build_model(plan_scaling(phi), seed=0)
     rng = np.random.default_rng(seed)
     for _, tensor in model.parameters():
         tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
-    image = rng.uniform(0.0, 1.0, size=(1, 3, model.input_resolution, model.input_resolution))
+    image = rng.uniform(0.0, 1.0, size=(rows, 3, model.input_resolution, model.input_resolution))
     return ClassificationObjective(model, label=seed % 2), image
 
 
@@ -1008,6 +1032,20 @@ def test_replayed_oracle_calls_the_network_once_per_parameter_tensor():
     assert sum(p.size for _, p in tensors) == 1426
     # one recording, then one guard call per tensor; every probe is replayed
     assert counting.calls == 1 + len(tensors) == 1 + 6
+
+
+@pytest.mark.parametrize("rows", [5, 13])
+def test_replayed_oracle_stacks_every_tensor_of_a_multi_row_input(monkeypatch, rows):
+    # the dense replay splits its folded rows by the recorded row count, and
+    # the loss's replay sums 13 rows per slot, in the recording's order
+    objective, images = randomized_objective(7, rows=rows)
+    replays = recorded_replays(monkeypatch)
+    counting = CountingNet(objective)
+    assert gradient_check(counting, images) == full_call_gradient_check(objective, images)
+    assert set(slots_by_tensor(replays, objective)) == {name for name, _ in objective.parameters()}
+    assert max(slots_by_tensor(replays, objective)["head.weights"]) > 1
+    # the recording, then one guard call per tensor; every probe is replayed
+    assert counting.calls == 1 + len(objective.parameters()) == 1 + 6
 
 
 class LeakyBiasNet(LinearNet):

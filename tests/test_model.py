@@ -1,11 +1,14 @@
 """Scaling plans, model construction, training behavior, dumps, sidecars."""
 
 import dataclasses
+import functools
 import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from morphlens import model as model_module
 from morphlens.checkpoint import decode_params, encode_params
@@ -357,22 +360,33 @@ def test_train_refuses_to_finish_with_non_finite_values(epochs, reason):
         train(model, corpus, epochs=epochs, batch_size=8, learning_rate=1e200, seed=1)
 
 
-@pytest.mark.parametrize("phi", [0.0, 1.0])
-def test_chunked_eval_logits_match_one_batch_bit_for_bit(phi):
+@functools.cache
+def batch_one_pool(phi):
+    """A model with a nonzero head, 40 inputs, and each input's batch-1 predict scores."""
+    model = build_model(plan_scaling(phi), 2)
+    rng = np.random.default_rng(4)
+    for _, tensor in model.parameters():
+        tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
+    res = model.input_resolution
+    inputs = rng.uniform(0.0, 1.0, size=(40, 3, res, res))
+    return model, inputs, np.stack([predict(model, image).scores for image in inputs])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(phi=st.sampled_from([0.0, 1.0]), rows=st.integers(1, 40), chunk=st.integers(1, 40))
+@example(phi=0.0, rows=13, chunk=5).via("a 13-row split in chunks of 5, 5 and 3")
+@example(phi=1.0, rows=13, chunk=5).via("a 13-row split in chunks of 5, 5 and 3")
+def test_a_rows_logits_are_its_batch_one_scores_at_any_batch_size_and_chunking(phi, rows, chunk):
     from morphlens.autodiff import Tensor, no_grad
     from morphlens.model import _eval_logits
 
-    model = build_model(plan_scaling(phi), 2)
-    rng = np.random.default_rng(4)
-    for _, tensor in model.parameters():  # a nonzero head, so the logits differ
-        tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
-    res = model.input_resolution
-    inputs = rng.uniform(0.0, 1.0, size=(13, 3, res, res))
+    model, inputs, expected = batch_one_pool(phi)
     with no_grad():
-        whole = model.forward(Tensor(inputs))[0].data
-    chunked = _eval_logits(model, inputs, 5)  # chunks of 5, 5 and 3
-    assert chunked.shape == (13, 2)
-    assert chunked.tobytes() == whole.tobytes()
+        whole = model.forward(Tensor(inputs[:rows]))[0].data
+    chunked = _eval_logits(model, inputs[:rows], chunk)
+    assert whole.shape == chunked.shape == (rows, 2)
+    for got in (whole, chunked):
+        assert [row.tobytes() for row in got] == [row.tobytes() for row in expected[:rows]]
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
