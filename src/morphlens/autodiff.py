@@ -305,7 +305,6 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
             rows = grad.reshape(batch, c_out, cells_out)
             per_sample = np.empty((batch, c_out, taps)) if kernels.requires_grad else None
             if x.requires_grad:
-                d_cols = np.empty(cols.shape)
                 index = _col2im_index(c_in, height, width, k_h, k_w, stride, padding)
                 cells = c_in * height * width
                 first = x.grad is None
@@ -317,10 +316,12 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
                     np.matmul(rows[lo:hi], cols[lo:hi].transpose(0, 2, 1), out=per_sample[lo:hi])
                 if x.requires_grad:
                     # col2im: each cell sums its taps from 0.0 in (ki, kj) order, as
-                    # adding the taps' strided blocks into a zeroed grid did
-                    np.matmul(flat_kernels.T, rows[lo:hi], out=d_cols[lo:hi])
-                    for sample, d_sample in zip(x.grad[lo:hi], d_cols[lo:hi]):
-                        sums = np.bincount(index, d_sample.reshape(-1), minlength=cells + 1)[:cells]
+                    # adding the taps' strided blocks into a zeroed grid did. A range
+                    # reuses one sample's buffer, so no patch gradient spans the batch.
+                    d_cols = np.empty(cols.shape[1:])
+                    for sample, d_rows in zip(x.grad[lo:hi], rows[lo:hi]):
+                        np.matmul(flat_kernels.T, d_rows, out=d_cols)
+                        sums = np.bincount(index, d_cols.reshape(-1), minlength=cells + 1)[:cells]
                         if first:
                             sample[...] = sums.reshape(c_in, height, width)
                         else:

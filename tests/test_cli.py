@@ -21,10 +21,10 @@ from morphlens import autodiff, cli, config, explain
 from morphlens.checkpoint import decode_params, encode_params
 from morphlens.cli import main
 from morphlens.config import CONFIG_KEYS, RunConfig
-from morphlens.data import load_corpus
+from morphlens.data import load_corpus, preprocess, split
 from morphlens.explain import decode_feature_vector
-from morphlens.metrics import parse_report
-from morphlens.model import ClassificationObjective, CnnModel, build_model, load_plan_sidecar
+from morphlens.metrics import compute_metrics, confusion, format_report, parse_report
+from morphlens.model import ClassificationObjective, CnnModel, build_model, load_plan_sidecar, predict
 from morphlens.rng import Lcg
 from morphlens.viz import decode_pgm
 
@@ -409,6 +409,28 @@ def test_eval_writes_consistent_metrics(capsys):
         assert values["recall"] + values["apcer"] == pytest.approx(1.0, abs=1e-12)
     if values["hter"] is not None:
         assert values["hter"] == pytest.approx((values["apcer"] + values["bpcer"]) / 2, abs=1e-12)
+
+
+def test_eval_scores_in_chunks_the_classes_batch_one_predict_gives(capsys):
+    run_chain(capsys, "gen-data", "train")
+    model, seed = cli._load_model(cli.resolve_config(cli._parser().parse_args(["eval", "--config", "run.cfg"])))
+    test = split(load_corpus("corpus"), seed).test
+    predicted = [predict(model, preprocess(sample.image, model.input_resolution)).predicted_class for sample in test]
+    expected = format_report(compute_metrics(confusion(predicted, [sample.label for sample in test])))
+    for batch_size in ("1", "3", "64"):
+        code, out, err = run(capsys, "eval", "--config", "run.cfg", "--batch-size", batch_size)
+        assert (code, err) == (0, "")
+        assert Path("out/metrics.txt").read_text(encoding="ascii") == out == expected
+
+
+def test_eval_of_an_empty_test_split_is_one_error_line(capsys):
+    # two faces of one class both land in the train split
+    sizes = ["--n-bonafide", "2", "--n-morphed", "0"]
+    for command in ("gen-data", "train"):
+        code, _, err = run(capsys, command, "--config", "run.cfg", *sizes)
+        assert code == 0, err
+    code, out, err = run(capsys, "eval", "--config", "run.cfg", *sizes)
+    assert (code, out, err) == (1, "", "error: cannot tally an empty prediction list\n")
 
 
 def test_eval_requires_checkpoint(capsys):

@@ -1,7 +1,11 @@
-"""Synthetic corpus: faces, morphs, preprocessing, splits, disk round-trips."""
+"""Synthetic corpus: faces, morphs, preprocessing, model inputs, splits, disk round-trips."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from morphlens.data import (
     LAMBDA_MAX,
@@ -10,6 +14,7 @@ from morphlens.data import (
     SPLIT_RATIO,
     DatasetSplit,
     LabeledImage,
+    ModelInputs,
     Provenance,
     build_corpus,
     generate_face,
@@ -223,6 +228,46 @@ def test_resizing_channel_by_channel_gives_the_broadcast_bits(phi):
     expected = np.ascontiguousarray(broadcast_resize(image, side, side).transpose(2, 0, 1))
     assert preprocess(generate_face(3, 1, 64).image, side).tobytes() == expected.tobytes()
     assert bilinear_resize(image[:, :, :0], side, side).shape == (side, side, 0)
+
+
+# model inputs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    side=st.integers(8, 20),
+    other=st.integers(8, 20),
+    resized=st.lists(st.booleans(), min_size=5, max_size=5),
+    rows=st.one_of(st.lists(st.integers(0, 4), max_size=8), st.slices(5)),
+)
+@example(side=16, other=12, resized=[False] * 5, rows=[]).via("an empty index list")
+@example(side=16, other=12, resized=[False] * 5, rows=[3, 1, 3, 3]).via("repeated rows at the model side")
+@example(side=16, other=12, resized=[True] * 5, rows=[4, 0, 4]).via("repeated rows of resized images")
+@example(side=16, other=12, resized=[False, True] * 2 + [False], rows=slice(None, None, -2)).via("a reversed slice")
+def test_a_batch_of_model_inputs_has_the_bytes_of_the_stacked_preprocess(side, other, resized, rows):
+    rng = np.random.default_rng(100 * side + other)
+    images = [RgbImage(rng.integers(0, 256, size=(other if r else side,) * 2 + (3,), dtype=np.uint8)) for r in resized]
+    inputs = ModelInputs(images, side)
+    picked = range(5)[rows] if isinstance(rows, slice) else rows
+    expected = np.stack([preprocess(images[i], side) for i in picked]) if len(picked) else np.empty((0, 3, side, side))
+    batch = inputs[rows]
+    assert len(inputs) == 5
+    assert batch.dtype == np.float64 and batch.shape == expected.shape
+    assert batch.tobytes() == expected.tobytes()
+
+
+def test_model_inputs_at_the_model_side_hold_the_uint8_pixels_alone():
+    images = [generate_face(1, i, 64).image for i in range(16)]
+    tracemalloc.start()
+    try:
+        inputs = ModelInputs(images, 64)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pixels = 16 * 3 * 64 * 64
+    # one float64 image alone would be 8 * 3 * 64 * 64 bytes more
+    assert pixels <= held <= peak < pixels + 4096
+    assert len(inputs) == 16
 
 
 # split

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -389,13 +390,35 @@ def test_a_rows_logits_are_its_batch_one_scores_at_any_batch_size_and_chunking(p
         assert [row.tobytes() for row in got] == [row.tobytes() for row in expected[:rows]]
 
 
+@functools.cache
+def default_train(seed, traced):
+    """A train at the desk defaults, and its tracemalloc peak in bytes when traced (else None).
+
+    The defaults are 128 + 128 faces at 64 pixels, phi 0, 5 epochs of batch 32.
+    """
+    part = split(build_corpus(128, 128, seed, 64), seed)
+    model = build_model(default_plan(), seed)
+    if not traced:
+        return train(model, part.train, seed=seed), None
+    tracemalloc.start()
+    try:
+        return train(model, part.train, seed=seed), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_train_accepts_every_criterion_7_seed(seed):
-    # the desk defaults: 128 + 128 faces at 64 pixels, phi 0, 5 epochs of batch 32
-    part = split(build_corpus(128, 128, seed, 64), seed)
-    report = train(build_model(default_plan(), seed), part.train, seed=seed)
+    report, _ = default_train(seed, traced=seed == 1)  # seed 1's run also serves the memory guard below
     assert report.epoch_losses[-1] < math.log(2)
     assert report.train_accuracy >= 0.95
+
+
+def test_a_default_train_holds_its_split_as_uint8_pixels():
+    # The 204-image split is 2.5 MB of uint8 pixels, where a float64 stack
+    # of it took 20 MB: the traced peak went 52 MB -> 31 MB on 2 CPUs.
+    _, peak = default_train(1, traced=True)
+    assert peak < 40e6
 
 
 def test_train_refuses_a_run_whose_logits_all_agree(monkeypatch):
