@@ -32,6 +32,7 @@ from .explain import cam, gradcam, saliency_map  # noqa: F401 -- names the bench
 from .metrics import compute_metrics, confusion, format_report
 from .model import (
     CnnModel,
+    architecture,
     build_model,
     dump_layer_activations,
     load_plan_sidecar,
@@ -122,7 +123,8 @@ def _tensor_to_rgb(tensor: np.ndarray) -> RgbImage:
 
 
 def cmd_gen_data(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    corpus = build_corpus(cfg.n_bonafide, cfg.n_morphed, cfg.seed, cfg.base_resolution)
+    side, _ = architecture(cfg.plan())  # the faces are drawn at the side the model takes
+    corpus = build_corpus(cfg.n_bonafide, cfg.n_morphed, cfg.seed, side)
     save_corpus(cfg.corpus_dir, corpus)
     print(f"wrote {cfg.n_bonafide} bonafide + {cfg.n_morphed} morph images to {cfg.corpus_dir}")
     return 0

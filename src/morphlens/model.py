@@ -425,7 +425,8 @@ def build_model(plan: ScalingPlan, seed: int) -> CnnModel:
     model = model_shapes(plan)
     rng = Lcg(derive_seed(seed, _INIT_STREAM))
     window = KERNEL_SIZE * KERNEL_SIZE
-    # Per-channel std of the generator's pixel noise after the /255 preprocess.
+    # Per-channel std of the generator's pixel noise after the /255 preprocess, exact
+    # because gen-data draws the corpus at the model's side (a resize would average it down).
     pixel_std = NOISE_AMPLITUDE / (255.0 * math.sqrt(3.0))
     probe_response = 0.0
     convs = [layer for layer in model.layers if layer.kind == "conv"]

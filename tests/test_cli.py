@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphlens import autodiff, cli, config, explain
@@ -113,17 +113,28 @@ def test_gen_data_rejects_a_huge_resolution_in_one_error_line(capsys):
 def test_gen_data_checks_the_resolution_of_an_empty_corpus(capsys, resolution):
     flags = ["--n-bonafide", "0", "--n-morphed", "0", "--base-resolution", resolution]
     code, out, err = run(capsys, "gen-data", "--config", "run.cfg", *flags)
-    # RunConfig.validate refuses a plan with no side for every command; 1025 plans
-    # a 1024-pixel side, and the face check refuses it
+    if resolution == "1025":
+        # 1025 plans the 1024-pixel side, and the faces are drawn at that side
+        assert (code, err) == (0, "")
+        assert Path("corpus/manifest.tsv").read_bytes() == b""
+        return
+    # RunConfig.validate refuses a plan with no side for every command
     message = {
         "100000000": "scaled input resolution 100000000 * 1.0 is above the 1024-pixel maximum",
         "5": "scaled input resolution 4 is below the 8-pixel minimum",
-        "1025": "face resolution must be in [8, 1024], got 1025",
     }[resolution]
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
     assert not Path("corpus").exists()
+
+
+@pytest.mark.parametrize("flags, side", [(["--base-resolution", "6"], 8), (["--phi", "1"], 20)])
+def test_gen_data_draws_the_faces_at_the_planned_side(capsys, flags, side):
+    # the planned side is a multiple of 4: 6 rounds to 8, and 16 * 1.15 = 18.4 to 20
+    code, _, err = run(capsys, "gen-data", "--config", "run.cfg", *flags)
+    assert (code, err) == (0, "")
+    assert {sample.image.pixels.shape for sample in load_corpus("corpus")} == {(side, side, 3)}
 
 
 # train
@@ -301,6 +312,41 @@ def test_train_refuses_a_run_that_predicts_one_class_at_defaults(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "every train sample is predicted class 0, though both classes are present" in err
     assert not Path("model.ckpt").exists()
+
+
+SIDE_HINT = "run `morphlens gen-data` with the same --phi and --base-resolution"
+
+
+def test_train_and_eval_refuse_a_corpus_of_another_side(capsys):
+    # a phi = 1 model takes 20-pixel faces, and the corpus holds 16-pixel ones
+    run_chain(capsys, "gen-data")
+    refused = f"error: a corpus image is 16x16 pixels, the model takes 20x20; {SIDE_HINT}\n"
+    assert run(capsys, "train", "--config", "run.cfg", "--phi", "1") == (1, "", refused)
+    assert not Path("model.ckpt").exists() and not Path("model.ckpt.plan").exists()
+    run_chain(capsys, "train")
+    kept = {name: Path(name).read_bytes() for name in ("model.ckpt", "model.ckpt.plan")}
+    assert run(capsys, "train", "--config", "run.cfg", "--phi", "1") == (1, "", refused)
+    assert {name: Path(name).read_bytes() for name in kept} == kept
+    # the checkpoint's 16-pixel model against a corpus drawn again at 32 pixels
+    assert run(capsys, "gen-data", "--config", "run.cfg", "--base-resolution", "32")[0] == 0
+    refused = f"error: a corpus image is 32x32 pixels, the model takes 16x16; {SIDE_HINT}\n"
+    assert run(capsys, "eval", "--config", "run.cfg") == (1, "", refused)
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_the_papers_phi_1_passes_the_criterion_7_bars(capsys, seed):
+    # EfficientNet-B1 is phi = 1: the desk defaults with 76-pixel faces for a 76-pixel model
+    flags = ["--phi", "1", "--seed", seed]
+    outputs = []
+    for command in ("gen-data", "train", "eval"):
+        code, out, err = run(capsys, command, *flags)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert load_corpus("corpus")[0].image.pixels.shape == (76, 76, 3)
+    accuracy = [line for line in outputs[1].splitlines() if line.startswith("train_accuracy=")]
+    assert float(accuracy[0].partition("=")[2]) >= 0.95
+    assert parse_report(outputs[2])["hter"] <= 0.15
 
 
 def test_train_accepts_a_tiny_learning_rate(capsys):
@@ -1041,6 +1087,9 @@ def prepared(tmp_path_factory):
     command=st.sampled_from(["gen-data", "train", "eval"]),
     flags=st.fixed_dictionaries({}, optional=FLAG_VALUES),
 )
+# the prepared corpus is 16 pixels: base 15 at phi 0.5 plans that side, base 12 another
+@example(command="train", flags={"base_resolution": "15", "phi": "0.5", "seed": "1"}).via("a plan of the corpus side")
+@example(command="train", flags={"base_resolution": "12"}).via("a plan of another side")
 def test_every_flag_value_ends_in_success_one_error_line_or_a_usage_error(prepared, command, flags):
     with tempfile.TemporaryDirectory(dir=prepared) as work:
         shutil.copytree(prepared / "corpus", Path(work) / "corpus")

@@ -220,7 +220,7 @@ def broadcast_resize(values, out_h, out_w):
 @pytest.mark.parametrize("phi", [1.0, 2.0])
 def test_resizing_channel_by_channel_gives_the_broadcast_bits(phi):
     side = model_shapes(plan_scaling(phi)).input_resolution
-    assert side in (76, 84)  # the preprocess sizes of a 64-pixel corpus at phi = 1 and 2
+    assert side in (76, 84)  # the sides explain resizes an outside 64-pixel image to at phi = 1 and 2
     image = generate_face(3, 1, 64).image.pixels.astype(np.float64) / 255.0
     resized = bilinear_resize(image, side, side)
     assert resized.shape == (side, side, 3)
@@ -237,16 +237,22 @@ def test_resizing_channel_by_channel_gives_the_broadcast_bits(phi):
 @given(
     side=st.integers(8, 20),
     other=st.integers(8, 20),
-    resized=st.lists(st.booleans(), min_size=5, max_size=5),
+    off_side=st.lists(st.booleans(), min_size=5, max_size=5),
     rows=st.one_of(st.lists(st.integers(0, 4), max_size=8), st.slices(5)),
 )
-@example(side=16, other=12, resized=[False] * 5, rows=[]).via("an empty index list")
-@example(side=16, other=12, resized=[False] * 5, rows=[3, 1, 3, 3]).via("repeated rows at the model side")
-@example(side=16, other=12, resized=[True] * 5, rows=[4, 0, 4]).via("repeated rows of resized images")
-@example(side=16, other=12, resized=[False, True] * 2 + [False], rows=slice(None, None, -2)).via("a reversed slice")
-def test_a_batch_of_model_inputs_has_the_bytes_of_the_stacked_preprocess(side, other, resized, rows):
+@example(side=16, other=12, off_side=[False] * 5, rows=[]).via("an empty index list")
+@example(side=16, other=12, off_side=[False] * 5, rows=[3, 1, 3, 3]).via("repeated rows")
+@example(side=16, other=12, off_side=[False] * 5, rows=slice(None, None, -2)).via("a reversed slice")
+@example(side=16, other=12, off_side=[False] * 4 + [True], rows=[0]).via("one off-side image, the last")
+@example(side=16, other=20, off_side=[True] * 5, rows=[0]).via("every image larger than the model side")
+def test_a_batch_of_model_inputs_has_the_bytes_of_the_stacked_preprocess(side, other, off_side, rows):
     rng = np.random.default_rng(100 * side + other)
-    images = [RgbImage(rng.integers(0, 256, size=(other if r else side,) * 2 + (3,), dtype=np.uint8)) for r in resized]
+    images = [RgbImage(rng.integers(0, 256, size=(other if r else side,) * 2 + (3,), dtype=np.uint8)) for r in off_side]
+    if other != side and any(off_side):
+        # an off-side image raises DataError: nothing resizes it
+        with pytest.raises(DataError, match=f"is {other}x{other} pixels, the model takes {side}x{side}; run"):
+            ModelInputs(images, side)
+        return
     inputs = ModelInputs(images, side)
     picked = range(5)[rows] if isinstance(rows, slice) else rows
     expected = np.stack([preprocess(images[i], side) for i in picked]) if len(picked) else np.empty((0, 3, side, side))

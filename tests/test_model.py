@@ -301,17 +301,6 @@ def test_train_report_fields():
     assert 0.0 <= report.train_accuracy <= 1.0
 
 
-def test_train_resizes_other_resolution_corpora():
-    # the 32-pixel faces are scored at the model's 64 pixels
-    corpus = build_corpus(4, 2, seed=3, resolution=32)
-    report = train(build_model(default_plan(), 3), corpus, epochs=0, seed=3)
-    assert report.epoch_losses == () and 0.0 <= report.train_accuracy <= 1.0
-    # an epoch on them runs to the end, but a run this small on resized faces
-    # predicts one class for all of them and is refused
-    with pytest.raises(TrainingError, match="predicted class"):
-        train(build_model(default_plan(), 3), corpus, epochs=1, batch_size=4, learning_rate=0.05, seed=3)
-
-
 def test_train_errors():
     model = build_model(default_plan(), 1)
     with pytest.raises(DataError):
@@ -356,7 +345,7 @@ def test_train_refuses_a_non_finite_learning_rate_before_any_step(learning_rate)
 def test_train_refuses_to_finish_with_non_finite_values(epochs, reason):
     # one step per epoch: the second update overflows the kernels, the third forward yields NaN
     corpus = build_corpus(4, 4, seed=1, resolution=16)
-    model = build_model(default_plan(), 1)
+    model = build_model(plan_scaling(0.0, base_resolution=16), 1)
     with pytest.raises(TrainingError, match=reason):
         train(model, corpus, epochs=epochs, batch_size=8, learning_rate=1e200, seed=1)
 
@@ -424,12 +413,13 @@ def test_a_default_train_holds_its_split_as_uint8_pixels():
 def test_train_refuses_a_run_whose_logits_all_agree(monkeypatch):
     corpus = build_corpus(4, 4, seed=1, resolution=16)
     monkeypatch.setattr(model_module, "_eval_logits", lambda model, inputs, batch_size: np.zeros((len(inputs), 2)))
+    plan = plan_scaling(0.0, base_resolution=16)
     with pytest.raises(TrainingError, match="every train sample is predicted class 0, though both classes"):
-        train(build_model(default_plan(), 1), corpus, epochs=1, batch_size=8, seed=1)
+        train(build_model(plan, 1), corpus, epochs=1, batch_size=8, seed=1)
     # a split of one class, or no epoch at all, cannot show a collapse
     assert {sample.label for sample in corpus[:4]} == {0}
-    assert len(train(build_model(default_plan(), 1), corpus[:4], epochs=1, seed=1).epoch_losses) == 1
-    assert train(build_model(default_plan(), 1), corpus, epochs=0, seed=1).epoch_losses == ()
+    assert len(train(build_model(plan, 1), corpus[:4], epochs=1, seed=1).epoch_losses) == 1
+    assert train(build_model(plan, 1), corpus, epochs=0, seed=1).epoch_losses == ()
 
 
 def test_train_batches_mix_classes():
