@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_params, save_params
 from .config import CONFIG_KEYS, RunConfig, load_config, parse_value, read_file, write_file
 from .data import ModelInputs, build_corpus, load_corpus, preprocess, save_corpus, split
@@ -43,6 +41,7 @@ from .model import (
 )
 from .model import predict  # noqa: F401 -- names the benchmark tracer patches
 from .viz import RgbImage, colorize, decode_ppm, encode_pgm, encode_ppm, superimpose
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="morphlens", description="Morphed-face detection and explanation")
@@ -117,11 +116,6 @@ def _load_image(path: str) -> RgbImage:
     return decode_ppm(read_file(path, "image"))
 
 
-def _tensor_to_rgb(tensor: np.ndarray) -> RgbImage:
-    pixels = np.floor(255.0 * tensor.transpose(1, 2, 0) + 0.5)
-    return RgbImage(np.clip(pixels, 0.0, 255.0).astype(np.uint8))
-
-
 def cmd_gen_data(cfg: RunConfig, ns: argparse.Namespace) -> int:
     side, _ = architecture(cfg.plan())  # the faces are drawn at the side the model takes
     corpus = build_corpus(cfg.n_bonafide, cfg.n_morphed, cfg.seed, side)
@@ -178,7 +172,7 @@ def cmd_explain(cfg: RunConfig, ns: argparse.Namespace) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     maps = (sal, cam_n, gc_n, result.combined)
-    overlays = superimpose(_tensor_to_rgb(tensor), colorize(maps))
+    overlays = superimpose(image, colorize(maps))
     for name, heatmap, overlay in zip(("saliency", "cam", "gradcam", "ensemble"), maps, overlays):
         write_heatmap(out_dir / f"{name}.xhm", heatmap)
         write_file(out_dir / f"{name}.ppm", encode_ppm(overlay))

@@ -1,4 +1,4 @@
-"""Synthetic face corpus: generation, morphing, preprocessing, splits, disk layout.
+"""Synthetic face corpus: generation, morphing, model inputs, splits, disk layout.
 
 Faces are parametric (oval face region, two eye blobs, a mouth bar) over a
 noisy background; every parameter comes from the seeded LCG so a corpus is a
@@ -6,6 +6,9 @@ pure function of its seed. Morphs are pixelwise blends of two distinct bona
 fide faces, which leaves the classic blend artifacts: ghosted part edges and
 flattened local contrast (averaging two independent noise fields shrinks its
 amplitude by up to 1/sqrt(2)).
+
+Nothing here resizes an image: a model input is its pixels divided by 255,
+and an image whose side is not the model's is a DataError.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig, read_file, read_text, write_file
 from .errors import DataError
-from .resample import bilinear_resize
+from .resample import bilinear_resize  # noqa: F401 -- names the benchmark tracer patches
 from .rng import Lcg, derive_seed, noise_grid
 from .viz import RgbImage, decode_ppm, encode_ppm
 
@@ -182,16 +185,20 @@ def build_corpus(
     return faces + morphs
 
 
-def preprocess(image: RgbImage, resolution: int) -> np.ndarray:
-    """Scale to [0, 1], bilinear-resize to resolution x resolution, channel-first.
+def _channel_first(image: RgbImage, resolution: int, what: str, remedy: str) -> np.ndarray:
+    """The image's uint8 pixels channel-first; DataError if its side is not the model's."""
+    height, width = image.pixels.shape[:2]
+    if (height, width) != (resolution, resolution):
+        raise DataError(
+            f"{what} is {height}x{width} pixels, the model takes {resolution}x{resolution}; {remedy}"
+        )
+    return image.pixels.transpose(2, 0, 1)
 
-    For an image already at the target size the result is exactly pixel/255.
-    """
-    if resolution < 8:
-        raise DataError(f"target resolution must be >= 8, got {resolution}")
-    scaled = image.pixels.astype(np.float64) / 255.0
-    resized = bilinear_resize(scaled, resolution, resolution)
-    return np.ascontiguousarray(resized.transpose(2, 0, 1))
+
+def preprocess(image: RgbImage, resolution: int) -> np.ndarray:
+    """One image at the model's side as a model input: its pixels divided by 255, channel-first."""
+    pixels = _channel_first(image, resolution, "the image", "nothing resizes an input image")
+    return np.ascontiguousarray(pixels) / 255.0
 
 
 class ModelInputs:
@@ -202,14 +209,9 @@ class ModelInputs:
 
     def __init__(self, images: list[RgbImage], resolution: int):
         self._stack = np.empty((len(images), 3, resolution, resolution), dtype=np.uint8)
+        remedy = "run `morphlens gen-data` with the same --phi and --base-resolution"
         for row, image in zip(self._stack, images):
-            height, width = image.pixels.shape[:2]
-            if (height, width) != (resolution, resolution):
-                raise DataError(
-                    f"a corpus image is {height}x{width} pixels, the model takes {resolution}x{resolution}; "
-                    "run `morphlens gen-data` with the same --phi and --base-resolution"
-                )
-            row[...] = image.pixels.transpose(2, 0, 1)
+            row[...] = _channel_first(image, resolution, "a corpus image", remedy)
 
     def __len__(self) -> int:
         return len(self._stack)

@@ -334,6 +334,19 @@ def test_train_and_eval_refuse_a_corpus_of_another_side(capsys):
     assert not Path("out").exists()
 
 
+def test_explain_and_dump_layer_refuse_an_image_of_another_side(capsys):
+    # the checkpoint's model takes 16-pixel faces; nothing resizes a 20- or a 12-pixel one
+    run_chain(capsys, "gen-data", "train")
+    for flags, side in ((["--phi", "1"], 20), (["--base-resolution", "12"], 12)):
+        corpus = f"corpus_{side}"
+        assert run(capsys, "gen-data", "--config", "run.cfg", "--corpus-dir", corpus, *flags)[0] == 0
+        image = f"{corpus}/bonafide/0000.ppm"
+        refused = f"error: the image is {side}x{side} pixels, the model takes 16x16; nothing resizes an input image\n"
+        for command, extra in (("explain", []), ("dump-layer", ["--layer-index", "0"])):
+            assert run(capsys, command, "--config", "run.cfg", "--image", image, *extra) == (1, "", refused)
+            assert not Path("out").exists()
+
+
 @pytest.mark.parametrize("seed", ["1", "2"])
 def test_the_papers_phi_1_passes_the_criterion_7_bars(capsys, seed):
     # EfficientNet-B1 is phi = 1: the desk defaults with 76-pixel faces for a 76-pixel model

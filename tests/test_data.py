@@ -25,8 +25,6 @@ from morphlens.data import (
     split,
 )
 from morphlens.errors import DataError, FormatError
-from morphlens.model import model_shapes, plan_scaling
-from morphlens.resample import bilinear_resize
 from morphlens.viz import RgbImage
 
 
@@ -181,53 +179,27 @@ def test_preprocess_same_size_is_exact_division():
     assert np.array_equal(tensor, face.image.pixels.astype(np.float64).transpose(2, 0, 1) / 255.0)
 
 
-def test_preprocess_constant_image():
-    pixels = np.full((10, 10, 3), 51, dtype=np.uint8)
+def test_preprocess_refuses_an_image_of_another_side():
+    # nothing resizes an input image, larger or smaller than the model's side
+    image = RgbImage(np.full((10, 10, 3), 51, dtype=np.uint8))
     for r in (8, 16, 33):
-        tensor = preprocess(RgbImage(pixels), r)
-        assert tensor.shape == (3, r, r)
-        assert np.allclose(tensor, 51 / 255.0)
+        with pytest.raises(DataError, match=f"^the image is 10x10 pixels, the model takes {r}x{r}; "):
+            preprocess(image, r)
 
 
-def test_preprocess_checkerboard_midpoint():
-    board = np.zeros((2, 2, 3), dtype=np.uint8)
-    board[0, 1] = board[1, 0] = 255
-    tensor = preprocess(RgbImage(board), 9)
-    assert tensor[0, 4, 4] == pytest.approx(0.5, abs=1e-12)
+def test_preprocess_at_the_model_side_divides_every_byte_by_255():
+    # every byte value once per channel, in a different order on each
+    values = np.arange(256, dtype=np.uint8)
+    pixels = np.stack([values, values[::-1], np.roll(values, 100)], axis=-1).reshape(16, 16, 3)
+    tensor = preprocess(RgbImage(pixels), 16)
+    assert tensor.dtype == np.float64 and tensor.flags.c_contiguous
+    assert np.array_equal(tensor, pixels.transpose(2, 0, 1) / 255.0)
+    assert tensor.tobytes() == ModelInputs([RgbImage(pixels)], 16)[0].tobytes()
 
 
-def test_preprocess_refuses_a_side_below_8():
-    with pytest.raises(DataError):
+def test_preprocess_refuses_a_side_below_8_as_an_image_of_another_side():
+    with pytest.raises(DataError, match="^the image is 12x12 pixels, the model takes 7x7; "):
         preprocess(RgbImage(np.full((12, 12, 3), 100, dtype=np.uint8)), 7)
-
-
-def broadcast_resize(values, out_h, out_w):
-    """bilinear_resize as one broadcast over the channel axis, its form before it went channel by channel."""
-    in_h, in_w = values.shape[:2]
-    ys = np.arange(out_h, dtype=np.float64) * ((in_h - 1) / (out_h - 1))
-    xs = np.arange(out_w, dtype=np.float64) * ((in_w - 1) / (out_w - 1))
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    wy = (ys - y0).reshape(out_h, 1, 1)
-    wx = (xs - x0).reshape(1, out_w, 1)
-    top = (1.0 - wx) * values[y0][:, x0] + wx * values[y0][:, x1]
-    bottom = (1.0 - wx) * values[y1][:, x0] + wx * values[y1][:, x1]
-    return (1.0 - wy) * top + wy * bottom
-
-
-@pytest.mark.parametrize("phi", [1.0, 2.0])
-def test_resizing_channel_by_channel_gives_the_broadcast_bits(phi):
-    side = model_shapes(plan_scaling(phi)).input_resolution
-    assert side in (76, 84)  # the sides explain resizes an outside 64-pixel image to at phi = 1 and 2
-    image = generate_face(3, 1, 64).image.pixels.astype(np.float64) / 255.0
-    resized = bilinear_resize(image, side, side)
-    assert resized.shape == (side, side, 3)
-    assert resized.tobytes() == broadcast_resize(image, side, side).tobytes()
-    expected = np.ascontiguousarray(broadcast_resize(image, side, side).transpose(2, 0, 1))
-    assert preprocess(generate_face(3, 1, 64).image, side).tobytes() == expected.tobytes()
-    assert bilinear_resize(image[:, :, :0], side, side).shape == (side, side, 0)
 
 
 # model inputs
@@ -255,7 +227,9 @@ def test_a_batch_of_model_inputs_has_the_bytes_of_the_stacked_preprocess(side, o
         return
     inputs = ModelInputs(images, side)
     picked = range(5)[rows] if isinstance(rows, slice) else rows
-    expected = np.stack([preprocess(images[i], side) for i in picked]) if len(picked) else np.empty((0, 3, side, side))
+    # an independent reference: preprocess shares ModelInputs' code
+    pixels = np.stack([images[i].pixels for i in picked]) if len(picked) else np.empty((0, side, side, 3))
+    expected = pixels.transpose(0, 3, 1, 2) / 255.0
     batch = inputs[rows]
     assert len(inputs) == 5
     assert batch.dtype == np.float64 and batch.shape == expected.shape

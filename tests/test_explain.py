@@ -11,6 +11,7 @@ from morphlens.errors import (
     FormatError,
     LayerIndexError,
     ResolutionMismatchError,
+    ShapeMismatchError,
 )
 from morphlens.explain import (
     EnsembleResult,
@@ -38,6 +39,7 @@ from morphlens.model import (
     build_model,
     plan_scaling,
 )
+from morphlens.resample import bilinear_resize
 
 
 def linear_model(head_weights, head_bias, channels, resolution):
@@ -492,6 +494,13 @@ def test_upsample_rejects_shrinking():
         upsample(heatmap, 3, 8)
     with pytest.raises(ResolutionMismatchError):
         upsample(heatmap, 8, 3)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 3), (4,)], ids=["rgb", "1-d"])
+def test_bilinear_resize_takes_2d_maps_only(shape):
+    # an input image is never resized, so (H, W, C) data has no path here
+    with pytest.raises(ShapeMismatchError, match="expects 2-D data"):
+        bilinear_resize(np.zeros(shape), 8, 8)
 
 
 # ensemble
