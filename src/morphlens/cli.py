@@ -102,14 +102,14 @@ def _check_checkpoint_writable(ckpt: Path) -> None:
         raise CliError(f"cannot write checkpoint {ckpt}: {parent} is not a writable directory")
 
 
-def _load_model(cfg: RunConfig) -> tuple[CnnModel, int]:
+def _load_model(cfg: RunConfig) -> CnnModel:
     ckpt = Path(cfg.checkpoint)
     if not ckpt.is_file():
         raise CliError(f"checkpoint not found: {ckpt} (run `morphlens train` first)")
-    plan, seed = load_plan_sidecar(_sidecar_path(cfg.checkpoint))
+    plan = load_plan_sidecar(_sidecar_path(cfg.checkpoint))
     model = model_shapes(plan)  # the checkpoint sets every parameter, so no init draws
     model.load_parameters(load_params(ckpt))
-    return model, seed
+    return model
 
 
 def _load_image(path: str) -> RgbImage:
@@ -130,12 +130,12 @@ def cmd_train(cfg: RunConfig, ns: argparse.Namespace) -> int:
     corpus = load_corpus(cfg.corpus_dir)
     plan = cfg.plan()
     model = build_model(plan, cfg.seed)
-    part = split(corpus, cfg.seed)
+    part = split(corpus)
     report = train(model, part.train, cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.seed)
     if ckpt.parent != Path(""):
         ckpt.parent.mkdir(parents=True, exist_ok=True)
     save_params(ckpt, [(name, tensor.data) for name, tensor in model.parameters()])
-    save_plan_sidecar(_sidecar_path(cfg.checkpoint), plan, cfg.seed)
+    save_plan_sidecar(_sidecar_path(cfg.checkpoint), plan)
     for epoch, loss in enumerate(report.epoch_losses, 1):
         print(f"epoch {epoch} loss {loss!r}")
     print(f"train_accuracy={report.train_accuracy!r}")
@@ -144,10 +144,8 @@ def cmd_train(cfg: RunConfig, ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    model, train_seed = _load_model(cfg)
-    corpus = load_corpus(cfg.corpus_dir)
-    # the sidecar seed reproduces the training partition exactly
-    part = split(corpus, train_seed)
+    model = _load_model(cfg)
+    part = split(load_corpus(cfg.corpus_dir))  # the test side of the split train held out
     inputs = ModelInputs([sample.image for sample in part.test], model.input_resolution)
     predictions = predicted_classes(model, inputs, cfg.batch_size).tolist()
     labels = [sample.label for sample in part.test]
@@ -160,7 +158,7 @@ def cmd_eval(cfg: RunConfig, ns: argparse.Namespace) -> int:
 
 
 def cmd_explain(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    model, _ = _load_model(cfg)
+    model = _load_model(cfg)
     image = _load_image(ns.image)
     tensor = preprocess(image, model.input_resolution)
     target = ns.target_class
@@ -182,7 +180,7 @@ def cmd_explain(cfg: RunConfig, ns: argparse.Namespace) -> int:
 
 
 def cmd_dump_layer(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    model, _ = _load_model(cfg)
+    model = _load_model(cfg)
     image = _load_image(ns.image)
     tensor = preprocess(image, model.input_resolution)
     activation, grid = dump_layer_activations(model, tensor, ns.layer_index)

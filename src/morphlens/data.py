@@ -28,6 +28,8 @@ _FACE_STREAM = 0xFACE
 _NOISE_STREAM = 0x701E
 _PAIR_STREAM = 0x9A13
 _SPLIT_STREAM = 0x5B17
+# Every split draws the stream seed 1, the default, drew: default-seed splits keep their samples.
+_SPLIT_SEED = derive_seed(1, _SPLIT_STREAM)
 
 # Uniform per-pixel noise amplitude, in 8-bit intensity units. Kept high so
 # blending two faces measurably flattens local contrast, and sized so the
@@ -220,11 +222,14 @@ class ModelInputs:
         return np.divide(self._stack[rows], 255.0)
 
 
-def split(corpus: list[LabeledImage], seed: int) -> DatasetSplit:
-    """Seeded stratified partition; each class is cut at round(SPLIT_RATIO * n)."""
+def split(corpus: list[LabeledImage]) -> DatasetSplit:
+    """The corpus's own stratified partition; each class is cut at round(SPLIT_RATIO * n).
+
+    No seed enters it, so train and eval hold out the same faces whatever seed either ran at.
+    """
     if not corpus:
         raise DataError("cannot split an empty corpus")
-    rng = Lcg(derive_seed(seed, _SPLIT_STREAM))
+    rng = Lcg(_SPLIT_SEED)
     train: list[LabeledImage] = []
     test: list[LabeledImage] = []
     for label in (0, 1):

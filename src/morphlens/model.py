@@ -9,7 +9,6 @@ scale from one knob phi through per-axis coefficients.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -113,7 +112,7 @@ class ScalingPlan:
 
 
 # The plan's fields, each also a config key: the CLI plans from them and the
-# checkpoint sidecar records them, then the seed.
+# checkpoint sidecar records them and nothing else.
 PLAN_KEYS = tuple(field.name for field in fields(ScalingPlan))
 
 
@@ -172,10 +171,6 @@ class ConvLayer:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [(f"{self.name}.kernels", self.kernels), (f"{self.name}.bias", self.bias)]
 
-    def describe(self) -> str:
-        o, c, kh, kw = self.kernels.shape
-        return f"conv {o}x{c}x{kh}x{kw} stride {self.stride} pad {self.padding}"
-
 
 class ReluLayer:
     kind = "relu"
@@ -186,9 +181,6 @@ class ReluLayer:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return []
 
-    def describe(self) -> str:
-        return "relu"
-
 
 class GapLayer:
     kind = "gap"
@@ -198,9 +190,6 @@ class GapLayer:
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return []
-
-    def describe(self) -> str:
-        return "gap"
 
 
 class DropoutLayer:
@@ -214,9 +203,6 @@ class DropoutLayer:
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return []
-
-    def describe(self) -> str:
-        return f"dropout {self.rate!r}"
 
 
 class DenseLayer:
@@ -233,19 +219,13 @@ class DenseLayer:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [(f"{self.name}.weights", self.weights), (f"{self.name}.bias", self.bias)]
 
-    def describe(self) -> str:
-        f_in, f_out = self.weights.shape
-        return f"dense {f_in}->{f_out}"
-
 
 class CnnModel:
-    """Ordered layer list with named parameters and a structure fingerprint."""
+    """Ordered layer list with named parameters."""
 
     def __init__(self, layers: list, input_resolution: int):
         self.layers = layers
         self.input_resolution = input_resolution
-        description = "|".join([*(layer.describe() for layer in layers), f"input {input_resolution}"])
-        self.fingerprint = hashlib.sha256(description.encode("ascii")).hexdigest()
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named: list[tuple[str, Tensor]] = []
@@ -663,28 +643,32 @@ class ClassificationObjective:
         return self.model.parameters()
 
 
-def save_plan_sidecar(path, plan: ScalingPlan, seed: int) -> None:
-    """Write the key=value sidecar that lets a checkpoint rebuild its model."""
-    values = {**asdict(plan), "seed": seed}
-    text = format_pairs({key: format_value(key, value) for key, value in values.items()})
+def save_plan_sidecar(path, plan: ScalingPlan) -> None:
+    """Write the key=value sidecar of the plan that lets a checkpoint rebuild its model."""
+    text = format_pairs({key: format_value(key, value) for key, value in asdict(plan).items()})
     write_file(path, text.encode("ascii"))
 
 
-def load_plan_sidecar(path) -> tuple[ScalingPlan, int]:
-    """The plan and seed a sidecar records; the sidecar is config text.
+def load_plan_sidecar(path) -> ScalingPlan:
+    """The plan a sidecar records; the sidecar is config text holding the plan keys alone.
 
-    ScalingPlan refuses a bad phi, coefficient or base size with
-    PlanConstraintError. The alpha * beta^2 * gamma^2 window is not checked
-    again: the sidecar does not record tau.
+    Any other key, such as the seed that sidecars recorded before the corpus
+    fixed its own split, is a FormatError. ScalingPlan refuses a bad phi,
+    coefficient or base size with PlanConstraintError. The alpha * beta^2 *
+    gamma^2 window is not checked again: the sidecar does not record tau.
     """
     pairs = parse_pairs(read_text(path, "plan sidecar"), "sidecar")
-    keys = (*PLAN_KEYS, "seed")
-    missing = [key for key in keys if key not in pairs]
+    extra = [key for key in pairs if key not in PLAN_KEYS]
+    if extra:
+        raise FormatError(
+            f"plan sidecar {path} has key {extra[0]!r}, which is not a plan key; "
+            "retrain the checkpoint with `morphlens train` to write its sidecar anew"
+        )
+    missing = [key for key in PLAN_KEYS if key not in pairs]
     if missing:
         raise FormatError(f"sidecar is missing keys: {', '.join(missing)}")
     try:
-        values = {key: parse_value(key, pairs[key]) for key in keys}
+        values = {key: parse_value(key, pairs[key]) for key in PLAN_KEYS}
     except FormatError as exc:
         raise FormatError(f"plan sidecar {path}: {exc}") from None
-    seed = values.pop("seed")
-    return ScalingPlan(**values), seed
+    return ScalingPlan(**values)

@@ -255,7 +255,7 @@ def test_model_inputs_at_the_model_side_hold_the_uint8_pixels_alone():
 
 def test_split_exact_ten_samples():
     corpus = build_corpus(5, 5, seed=8, resolution=16)
-    parts = split(corpus, seed=1)
+    parts = split(corpus)
     assert isinstance(parts, DatasetSplit)
     assert len(parts.train) == 8 and len(parts.test) == 2
     assert sum(s.label for s in parts.train) == 4
@@ -264,8 +264,8 @@ def test_split_exact_ten_samples():
 
 def test_split_deterministic_and_disjoint():
     corpus = build_corpus(8, 6, seed=2, resolution=16)
-    a = split(corpus, seed=5)
-    b = split(corpus, seed=5)
+    a = split(corpus)
+    b = split(corpus)
     assert [s.uid for s in a.train] == [s.uid for s in b.train]
     assert [s.uid for s in a.test] == [s.uid for s in b.test]
     train_ids = {s.uid for s in a.train}
@@ -280,7 +280,7 @@ def test_split_ratio_within_one_sample_per_class():
         nb = int(rng.integers(3, 12))
         nm = int(rng.integers(1, nb * (nb - 1) // 2 + 1))
         corpus = build_corpus(nb, nm, seed=trial, resolution=16)
-        parts = split(corpus, seed=trial)
+        parts = split(corpus)
         for label, total in ((0, nb), (1, nm)):
             got = sum(1 for s in parts.train if s.label == label)
             assert abs(got - SPLIT_RATIO * total) <= 0.5 + 1e-9
@@ -288,7 +288,7 @@ def test_split_ratio_within_one_sample_per_class():
 
 def test_split_errors():
     with pytest.raises(DataError):
-        split([], seed=1)
+        split([])
 
 
 # save / load
