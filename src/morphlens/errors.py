@@ -26,7 +26,7 @@ class ArchitectureError(MorphLensError):
 
 
 class LayerIndexError(MorphLensError):
-    """Activation or target layer index outside the valid range."""
+    """Activation layer index outside the valid range."""
 
 
 class ExplainError(MorphLensError):

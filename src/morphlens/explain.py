@@ -7,8 +7,8 @@ that produced them and the class they explain.
 * cam: the dense head's column for the target class contracted against the
   feature maps entering global average pooling; by construction the map's
   spatial mean plus the class bias reproduces the logit, which is asserted.
-* gradcam: channel importance = spatial mean of d score / d the last conv
-  block's feature maps, recombined with the maps and rectified. The pre-ReLU
+* gradcam: channel importance = spatial mean of d score / d those same
+  feature maps, recombined with the maps and rectified. The pre-ReLU
   combination equals cam / (H * W), since pooling spreads the head weights
   uniformly over the grid.
 
@@ -35,7 +35,6 @@ from .errors import (
     ArchitectureError,
     ExplainError,
     FormatError,
-    LayerIndexError,
     ResolutionMismatchError,
 )
 from .model import CnnModel, DenseLayer, DropoutLayer, GapLayer, single_image
@@ -86,6 +85,11 @@ def _check_class(target_class: int) -> None:
         raise ExplainError(f"target class must be 0 or 1, got {target_class}")
 
 
+# The activation index of the maps entering the pool, in a model _gap_head
+# accepts: the pool, dropout and dense outputs follow them.
+_POOL_INPUT = -4
+
+
 def _gap_head(model: CnnModel) -> DenseLayer:
     layers = model.layers
     if (
@@ -96,14 +100,6 @@ def _gap_head(model: CnnModel) -> DenseLayer:
     ):
         raise ArchitectureError("class-evidence maps need a pool -> dropout -> dense head")
     return layers[-1]
-
-
-def _feature_index(model: CnnModel) -> int:
-    """Activation index of the last conv block's post-activation maps."""
-    blocks = model.conv_blocks()
-    if blocks == 0:
-        raise LayerIndexError("model has no conv blocks to target")
-    return model.conv_feature_index(blocks - 1)
 
 
 def _explained_pass(model: CnnModel, image, target_class: int) -> tuple[Tensor, list[Tensor]]:
@@ -124,7 +120,7 @@ def _saliency(activations: list[Tensor], target_class: int) -> Heatmap:
 
 
 def _cam(head: DenseLayer, logits: Tensor, activations: list[Tensor], target_class: int) -> Heatmap:
-    feature_maps = activations[-4].data[0]  # (K, h, w), the pool's input
+    feature_maps = activations[_POOL_INPUT].data[0]  # (K, h, w)
     column = head.weights.data[:, target_class]
     values = np.tensordot(column, feature_maps, axes=([0], [0]))
     from_map = values.mean() + head.bias.data[target_class]
@@ -144,18 +140,18 @@ def _gradcam(feature: Tensor, target_class: int, apply_relu: bool) -> tuple[Heat
 
 
 def explain_all(model: CnnModel, image, target_class: int) -> tuple[Heatmap, Heatmap, Heatmap]:
-    """(saliency, cam, gradcam at the last block) from one forward and one backward.
+    """(saliency, cam, gradcam) from one forward and one backward.
 
-    Each map equals the one its own function returns, bit for bit.
+    cam and gradcam both read the maps entering the pool. Each map equals the
+    one its own function returns, bit for bit.
     """
     _check_class(target_class)
     head = _gap_head(model)
-    feature = _feature_index(model)
     logits, activations = _explained_pass(model, image, target_class)
     return (
         _saliency(activations, target_class),
         _cam(head, logits, activations, target_class),
-        _gradcam(activations[feature], target_class, apply_relu=True)[0],
+        _gradcam(activations[_POOL_INPUT], target_class, apply_relu=True)[0],
     )
 
 
@@ -179,15 +175,16 @@ def cam(model: CnnModel, image, target_class: int) -> Heatmap:
 
 
 def gradcam(model: CnnModel, image, target_class: int, apply_relu: bool = True) -> tuple[Heatmap, np.ndarray]:
-    """Rectified importance-weighted combination of the last conv block's feature maps.
+    """Rectified importance-weighted combination of the maps entering the pool.
 
-    Returns the map and the per-channel importance. apply_relu=False returns
-    the raw linear combination, which equals cam / (map cells).
+    Needs the pool -> dropout -> dense head that cam needs. Returns the map
+    and the per-channel importance. apply_relu=False returns the raw linear
+    combination, which equals cam / (map cells).
     """
     _check_class(target_class)
-    feature = _feature_index(model)
+    _gap_head(model)
     _, activations = _explained_pass(model, image, target_class)
-    return _gradcam(activations[feature], target_class, apply_relu)
+    return _gradcam(activations[_POOL_INPUT], target_class, apply_relu)
 
 
 def _normalize_values(values: np.ndarray) -> np.ndarray:

@@ -233,19 +233,6 @@ class CnnModel:
             named.extend(layer.parameters())
         return named
 
-    def conv_blocks(self) -> int:
-        return sum(1 for layer in self.layers if layer.kind == "conv")
-
-    def conv_feature_index(self, block: int) -> int:
-        """Activation-list index of the post-ReLU output of a conv block (a ReLU follows every conv)."""
-        count = -1
-        for i, layer in enumerate(self.layers):
-            if layer.kind == "conv":
-                count += 1
-                if count == block:
-                    return i + 2  # activations[0] is the input
-        raise LayerIndexError(f"conv block {block} does not exist (model has {count + 1})")
-
     def forward(self, x: Tensor, train: bool = False, rng=None) -> tuple[Tensor, list[Tensor]]:
         """Run all layers; returns (logits, activations) with activations[0] = input."""
         if not isinstance(x, Tensor):

