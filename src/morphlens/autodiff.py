@@ -31,12 +31,10 @@ downstream of it, stacked along a leading slot axis, and read every other
 value from the recording, the way ADOL-C re-evaluates a taped function at
 new inputs (Griewank & Walther, Evaluating Derivatives, 2008). A conv node
 rerun on its recorded input reuses the patch matrix its backward keeps, and
-the loss node reuses the labels it checked when recorded. The oracle has
-one other path, a full network call per probe. It is taken when a tape
-cannot replay a parameter's slots: train-mode dropout records no rerun,
-since its mask comes from a generator, and neither does select, whose
-scalar has no slot axis. A network that reads a parameter off the tape
-takes it too.
+the loss node reuses the labels it checked when recorded. A tape that
+cannot replay a parameter's slots is refused: train-mode dropout records
+no rerun, since its mask comes from a generator, and neither does select,
+whose scalar has no slot axis.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import MorphLensError, NotScalarError, ShapeMismatchError
+from .errors import ArchitectureError, MorphLensError, NotScalarError, ShapeMismatchError
 
 _grad_enabled = True
 
@@ -570,49 +568,47 @@ def _slot_count(param: Tensor, nodes: Sequence[Tensor]) -> int:
     return -(-probes // chunks)
 
 
-def _probe_losses(param: Tensor, nodes: Sequence[Tensor], full_call, epsilon: float) -> np.ndarray:
+def _probe_losses(name: str, param: Tensor, nodes: Sequence[Tensor], full_call, epsilon: float) -> np.ndarray:
     """The loss at each probe of param: probe k < size adds epsilon to component k, probe size + k subtracts it.
 
-    Two paths: stacked replays of chunks of probes, or a full call per probe.
-    The guard shifts every component by epsilon at once and makes one full
-    call; the probes replay stacked only if a stack of copies of that state
-    replays to the full call's loss in every slot.
+    The probes replay stacked, in chunks. The guard shifts every component
+    by epsilon at once and makes one full call; a stack of copies of that
+    state must replay to the full call's loss in every slot. A tape that
+    cannot, or a param with nothing downstream, is an ArchitectureError
+    naming name, raised with param's data as it was.
     """
+    refused = f"gradient_check cannot replay parameter {name!r}"
+    if not nodes:
+        raise ArchitectureError(f"{refused}: no op on the tape reads it")
+    for node in nodes:
+        if node._rerun is None:
+            raise ArchitectureError(f"{refused}: op {node.op!r} records no rerun")
     flat = param.data.reshape(-1)
     size = flat.size
-    shifted = np.concatenate([flat + epsilon, flat - epsilon])
-    losses = np.empty(2 * size)
-    slots = 0  # probes per stacked replay; 0: full calls
-    if nodes and all(node._rerun is not None for node in nodes):
-        original = flat.copy()
-        flat += epsilon
+    slots = _slot_count(param, nodes)
+    original = flat.copy()
+    flat += epsilon
+    try:
         expected = full_call()
-        slots = _slot_count(param, nodes)
         try:
             got = _replay(param, nodes, np.tile(flat, (slots, 1)).reshape(slots, *param.shape))
-        except (MorphLensError, ValueError):  # an op that cannot take stacked slots
-            got = None
-        if got is None or got.shape != (slots,) or not (got == expected).all():
-            slots = 0
+        except (MorphLensError, ValueError) as exc:  # an op that cannot take stacked slots
+            raise ArchitectureError(f"{refused}: a stacked replay raised {type(exc).__name__}: {exc}") from None
+    finally:
         flat[:] = original
-    if slots:
-        # the last chunk's unused slots keep the recorded values, so every
-        # replay has the shape the guard checked
-        stack = np.tile(flat, (slots, 1))
-        for start in range(0, 2 * size, slots):
-            probes = np.arange(start, min(start + slots, 2 * size))
-            used, columns = np.arange(len(probes)), probes % size
-            stack[used, columns] = shifted[probes]
-            losses[probes] = _replay(param, nodes, stack.reshape(slots, *param.shape))[: len(probes)]
-            stack[used, columns] = flat[columns]
-        return losses
-    for i in range(size):
-        saved = flat[i]
-        flat[i] = shifted[i]
-        losses[i] = full_call()
-        flat[i] = shifted[size + i]
-        losses[size + i] = full_call()
-        flat[i] = saved
+    if got.shape != (slots,) or not (got == expected).all():
+        raise ArchitectureError(f"{refused}: a stacked replay does not give the full call's loss in every slot")
+    # the last chunk's unused slots keep the recorded values, so every
+    # replay has the shape the guard checked
+    shifted = np.concatenate([flat + epsilon, flat - epsilon])
+    losses = np.empty(2 * size)
+    stack = np.tile(flat, (slots, 1))
+    for start in range(0, 2 * size, slots):
+        probes = np.arange(start, min(start + slots, 2 * size))
+        used, columns = np.arange(len(probes)), probes % size
+        stack[used, columns] = shifted[probes]
+        losses[probes] = _replay(param, nodes, stack.reshape(slots, *param.shape))[: len(probes)]
+        stack[used, columns] = flat[columns]
     return losses
 
 
@@ -625,21 +621,22 @@ def gradient_check(network, input_values, epsilon: float = 1e-5) -> float:
     tape gradient as |analytic - numeric| / max(|analytic|, |numeric|, 1e-12);
     the max over all components is returned.
 
-    The loss is recorded once. The probes of a parameter tensor then take
-    one of two paths. Stacked replay reruns only the tape nodes downstream
-    of the tensor, under no_grad, with the same op functions, and every
-    other node keeps its recorded value, so each probed loss equals the one
-    a full network(x) call gives. The tensor gets a leading slot axis, one
-    probe per slot, with as many slots (one or more) as copies of the tensor
-    and of the recorded values downstream fit _STACK_BYTES, and every slot
-    runs the whole downstream forward with its own parameter value. The
-    probed tensor reaches the replay as a new Tensor, so a conv that reads
-    it rebuilds its patch matrix. Full calls run network(x) once per probe.
-    Per tensor, one full call at every component shifted by epsilon guards
-    the replay (see _probe_losses). The tensor takes full calls when a
-    downstream node cannot be replayed (train-mode dropout, select) or
-    cannot take slots, or when the network's loss also depends on the
-    parameter off the tape.
+    The loss is recorded once. The probes of a parameter tensor then replay
+    only the tape nodes downstream of the tensor, under no_grad, with the
+    same op functions, and every other node keeps its recorded value, so
+    each probed loss equals the one a full network(x) call gives. The tensor
+    gets a leading slot axis, one probe per slot, with as many slots (one or
+    more) as copies of the tensor and of the recorded values downstream fit
+    _STACK_BYTES, and every slot runs the whole downstream forward with its
+    own parameter value. The probed tensor reaches the replay as a new
+    Tensor, so a conv that reads it rebuilds its patch matrix. Per tensor,
+    one full call at every component shifted by epsilon guards the replay
+    (see _probe_losses), so a check makes 1 + T network calls for T
+    parameter tensors. It raises ArchitectureError, naming the tensor, when
+    a node downstream cannot be replayed (train-mode dropout, select) or
+    cannot take slots, when the loss also reads the tensor off the tape, or
+    when no op on the tape reads it (the loss is the tensor itself, or does
+    not depend on it).
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -656,9 +653,9 @@ def gradient_check(network, input_values, epsilon: float = 1e-5) -> float:
 
     worst = 0.0
     with no_grad():
-        for _name, param in network.parameters():
+        for name, param in network.parameters():
+            losses = _probe_losses(name, param, _downstream(order, param), full_call, epsilon)
             analytic = store[param].reshape(-1)
-            losses = _probe_losses(param, _downstream(order, param), full_call, epsilon)
             numeric = (losses[: analytic.size] - losses[analytic.size :]) / (2.0 * epsilon)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
             errors = np.abs(analytic - numeric) / denom

@@ -57,6 +57,8 @@ class RunConfig:
             raise CliError(f"learning-rate must be positive and finite, got {self.learning_rate!r}")
         if self.n_bonafide < 0 or self.n_morphed < 0:
             raise CliError("corpus sizes must be non-negative")
+        if not 0 <= self.seed < 2**32:  # the generators keep a seed's low 32 bits
+            raise CliError(f"seed must be in [0, 2**32), got {self.seed}")
         self.plan()
         check_weights(self.ensemble_weights)
 

@@ -2,6 +2,7 @@
 
 import gc
 import os
+import re
 import threading
 import time
 import weakref
@@ -28,7 +29,7 @@ from morphlens.autodiff import (
     select,
     softmax_cross_entropy,
 )
-from morphlens.errors import NotScalarError, ShapeMismatchError
+from morphlens.errors import ArchitectureError, NotScalarError, ShapeMismatchError
 from morphlens.model import ClassificationObjective, build_model, model_shapes, plan_scaling
 from morphlens.rng import Lcg
 
@@ -38,9 +39,10 @@ def leaf(values):
 
 
 # Two small taped ops that only the tests need: they turn an op's output into
-# a scalar loss with a chosen upstream gradient. Each reruns as itself, so
-# gradient_check can replay tapes that end in them, and each hands its
-# gradients to _accumulate as the library's ops do.
+# a scalar loss with a chosen upstream gradient. reduce_sum reruns as one sum
+# per replay slot, so gradient_check can replay tapes that end in it; multiply
+# reruns as itself, and a stacked replay through it raises on operands of two
+# shapes. Each hands its gradients to _accumulate as the library's ops do.
 
 
 def reduce_sum(x) -> Tensor:
@@ -52,7 +54,11 @@ def reduce_sum(x) -> Tensor:
         def _backward(grad: np.ndarray) -> None:
             _accumulate(x, grad)
 
-        _attach(out, "reduce_sum", (x,), _backward, reduce_sum)
+        def _rerun(a: Tensor) -> Tensor:
+            # one sum per slot that a replay folded into a's leading axis
+            return Tensor(a.data.reshape(-1, x.data.size).sum(axis=1))
+
+        _attach(out, "reduce_sum", (x,), _backward, _rerun)
     return out
 
 
@@ -979,6 +985,18 @@ def recorded_replays(monkeypatch):
     return replays
 
 
+def refusal(network, input_values, name):
+    """The message of gradient_check's ArchitectureError for network, which names parameter name.
+
+    Every parameter's bits must be as they were before the call.
+    """
+    before = {key: tensor.data.tobytes() for key, tensor in network.parameters()}
+    with pytest.raises(ArchitectureError, match=re.escape(f"parameter {name!r}")) as info:
+        gradient_check(network, input_values)
+    assert {key: tensor.data.tobytes() for key, tensor in network.parameters()} == before
+    return str(info.value)
+
+
 def slots_by_tensor(replays, network):
     """{parameter name: sorted set of slot counts its replays used}."""
     names = {id(tensor): name for name, tensor in network.parameters()}
@@ -1062,12 +1080,15 @@ class LeakyBiasNet(LinearNet):
         return [("w", self.w)]
 
 
-@pytest.mark.parametrize("k, expected", [(0, 3.0 / 3.7), (1, 3.0 / 2.7)])
-def test_replayed_oracle_still_sees_a_parameter_read_off_the_tape(k, expected):
-    # analytic dL/dw = x; the full call also sees the bias move by 3 per unit of w[k]
-    error = gradient_check(LeakyBiasNet(k), np.array([[0.7, -0.3]]))
-    assert error >= 0.5
-    assert error == pytest.approx(expected, rel=1e-6)
+@pytest.mark.parametrize("k", [0, 1])
+def test_replayed_oracle_still_sees_a_parameter_read_off_the_tape(monkeypatch, k):
+    # the guard's full call sees the bias move by 3 per unit of w[k]; its
+    # replay keeps the recorded bias, so w is refused after that one call
+    replays = recorded_replays(monkeypatch)
+    counting = CountingNet(LeakyBiasNet(k))
+    assert "full call's loss" in refusal(counting, np.array([[0.7, -0.3]]), "w")
+    assert counting.calls == 1 + 1
+    assert replays == [(counting.network.w, 4)]
 
 
 class TrainDropoutNet:
@@ -1088,16 +1109,60 @@ class TrainDropoutNet:
         return [("w0", self.w0), ("b0", self.b0), ("w1", self.w1), ("b1", self.b1)]
 
 
-def test_replayed_oracle_falls_back_to_full_calls_through_train_dropout(monkeypatch):
-    x = np.array([[0.7, -0.3]])
+class HeadFirstDropoutNet(TrainDropoutNet):
+    def parameters(self):
+        return super().parameters()[2:] + super().parameters()[:2]
+
+
+@pytest.mark.parametrize(
+    "net, replayed", [(TrainDropoutNet, set()), (HeadFirstDropoutNet, {"w1", "b1"})], ids=["w0-first", "head-first"]
+)
+def test_replayed_oracle_refuses_a_parameter_upstream_of_train_dropout(monkeypatch, net, replayed):
     replays = recorded_replays(monkeypatch)
-    counting = CountingNet(TrainDropoutNet())
-    worst = gradient_check(counting, x)
-    assert worst == full_call_gradient_check(TrainDropoutNet(), x)
-    # w0 and b0 sit before the dropout: two full calls per component and no
-    # replay; w1 and b1 replay stacked after one guard call each
-    assert counting.calls == 1 + 2 * (12 + 6) + 2
-    assert set(slots_by_tensor(replays, counting)) == {"w1", "b1"}
+    counting = CountingNet(net())
+    assert "op 'dropout' records no rerun" in refusal(counting, np.array([[0.7, -0.3]]), "w0")
+    # w0 sits before the dropout and is refused with no guard call; w1 and
+    # b1 sit after it, and each listed first replays stacked after its guard
+    assert counting.calls == 1 + len(replayed)
+    assert set(slots_by_tensor(replays, counting)) == replayed
+    for name in replayed:
+        tensor = dict(counting.parameters())[name]
+        slots = [count for source, count in replays if source is tensor]
+        assert len(slots) == 1 + -(-2 * tensor.size // slots[0])
+
+
+class ParameterLossNet:
+    """A network whose loss is its one parameter: no op on the tape reads it."""
+
+    def __init__(self):
+        self.w = leaf(0.5)
+
+    def __call__(self, x):
+        return self.w
+
+    def parameters(self):
+        return [("w", self.w)]
+
+
+class UnusedParameterNet(LinearNet):
+    """LinearNet with a third parameter that the loss never reads."""
+
+    def __init__(self):
+        super().__init__()
+        self.unused = leaf([0.0, 1.0])
+
+    def parameters(self):
+        return [*super().parameters(), ("unused", self.unused)]
+
+
+@pytest.mark.parametrize("net, name, guards", [(ParameterLossNet, "w", 0), (UnusedParameterNet, "unused", 2)])
+def test_oracle_refuses_a_parameter_no_op_reads(monkeypatch, net, name, guards):
+    replays = recorded_replays(monkeypatch)
+    counting = CountingNet(net())
+    assert "no op on the tape reads it" in refusal(counting, np.array([[0.7, -0.3]]), name)
+    # the recording, then the guards of the tensors listed before it
+    assert counting.calls == 1 + guards
+    assert name not in slots_by_tensor(replays, counting)
 
 
 class LearnableImageNet(TwoConvNet):
@@ -1121,7 +1186,7 @@ def test_replayed_oracle_rebuilds_the_patch_matrix_of_a_probed_conv_input(monkey
     replays = recorded_replays(monkeypatch)
     assert gradient_check(counting, unused) == full_call_gradient_check(LearnableImageNet(seed), unused)
     # a replay that reused the image's recorded patches would fail the guard
-    # and fall back to two full calls per image component
+    # and the image would be refused
     assert counting.calls == 1 + len(counting.parameters()) == 1 + 7
     # the image's probes replay stacked, folded into the first conv's batch
     assert min(slots_by_tensor(replays, counting)["image"]) > 1
@@ -1195,17 +1260,23 @@ class ScaledLinearNet(LinearNet):
         return reduce_sum(multiply(dense(x, self.w, self.b), Tensor([[0.5]])))
 
 
-@pytest.mark.parametrize("net", [LinearNet, ScaledLinearNet])
-def test_oracle_takes_full_calls_through_an_op_that_cannot_stack(monkeypatch, net):
-    # reduce_sum sums every slot into one scalar and multiply raises on the
-    # stacked operand, so the stacked guard fails either way
+def test_oracle_replays_a_tape_that_ends_in_reduce_sum(monkeypatch):
     replays = recorded_replays(monkeypatch)
-    counting = CountingNet(net())
-    assert gradient_check(counting, np.array([[0.7, -0.3]])) == full_call_gradient_check(net(), [[0.7, -0.3]])
-    # the recording, then per tensor the guard call and two full calls per component
-    assert counting.calls == 1 + (1 + 2 * 2) + (1 + 2 * 1)
-    # the stacked guard replay is each tensor's only replay
-    assert replays == [(counting.network.w, 4), (counting.network.b, 2)]
+    counting = CountingNet(LinearNet())
+    assert gradient_check(counting, np.array([[0.7, -0.3]])) == full_call_gradient_check(LinearNet(), [[0.7, -0.3]])
+    # the recording, then one guard call per tensor
+    assert counting.calls == 1 + 2
+    # per tensor, the stacked guard replay and one chunk of every probe
+    assert replays == [(counting.network.w, 4)] * 2 + [(counting.network.b, 2)] * 2
+
+
+def test_oracle_refuses_an_op_that_cannot_stack(monkeypatch):
+    # multiply raises on the stacked operand, so w's stacked guard replay fails
+    replays = recorded_replays(monkeypatch)
+    counting = CountingNet(ScaledLinearNet())
+    assert "ShapeMismatchError: multiply" in refusal(counting, np.array([[0.7, -0.3]]), "w")
+    assert counting.calls == 1 + 1
+    assert replays == [(counting.network.w, 4)]
 
 
 def stale_last_slot(x) -> Tensor:
@@ -1230,29 +1301,36 @@ def stale_last_slot(x) -> Tensor:
 
 
 class StaleSlotNet(TwoConvNet):
+    """TwoConvNet with a stale op after its second conv, and its head's tensors listed first."""
+
     def __call__(self, x):
         h = relu(conv2d(x, self.k0, self.b0, 2, 1))
         h = stale_last_slot(relu(conv2d(h, self.k1, self.b1, 2, 1)))
         return softmax_cross_entropy(dense(global_average_pool(h), self.w, self.bw), [1])
 
+    def parameters(self):
+        return super().parameters()[4:] + super().parameters()[:4]
+
 
 def test_stacked_guard_refuses_a_replay_that_feeds_one_slot_stale_data(monkeypatch):
     net, x = smooth_state(0)
     stale = StaleSlotNet(0)
-    for (_, mine), (_, theirs) in zip(stale.parameters(), net.parameters()):
-        mine.data = theirs.data.copy()
+    theirs = dict(net.parameters())
+    for name, mine in stale.parameters():
+        mine.data = theirs[name].data.copy()
     replays = recorded_replays(monkeypatch)
     counting = CountingNet(stale)
-    assert gradient_check(counting, x) == full_call_gradient_check(net, x)
-    # the tensors upstream of the stale op take two full calls per component
-    # after their stacked guard fails; w and bw sit downstream of it and stack
-    upstream = [stale.k0, stale.b0, stale.k1, stale.b1]
-    assert counting.calls == 1 + 6 + 2 * sum(tensor.size for tensor in upstream)
-    for tensor in upstream:
-        assert sum(1 for source, _ in replays if source is tensor) == 1
+    assert "full call's loss" in refusal(counting, x, "k0")
+    # w and bw sit downstream of the stale op and stack after their guards;
+    # k0 sits upstream of it, and its stacked guard replay, whose last slot
+    # reads the recorded data, is its only replay
+    assert counting.calls == 1 + 3
     for tensor in (stale.w, stale.bw):
         slots = [count for source, count in replays if source is tensor]
         assert len(slots) == 1 + -(-2 * tensor.size // slots[0])
+    k0_slots = [count for source, count in replays if source is stale.k0]
+    assert len(k0_slots) == 1 and k0_slots[0] > 1
+    assert set(slots_by_tensor(replays, stale)) == {"w", "bw", "k0"}
 
 
 def test_select_and_multiply_contracts():

@@ -429,6 +429,14 @@ def test_train_rejects_a_tau_that_is_not_finite_and_non_negative(capsys, tau):
     assert not Path("model.ckpt").exists()
 
 
+@pytest.mark.parametrize("seed", ["4294967297", "-4294967295", "4294967296", "-1"])
+def test_gen_data_refuses_a_seed_that_aliases_a_32_bit_one(capsys, seed):
+    # the generators keep a seed's low 32 bits, so 4294967297 and -4294967295 would draw seed 1's corpus
+    code, out, err = run(capsys, "gen-data", "--n-bonafide", "8", "--n-morphed", "4", f"--seed={seed}")
+    assert (code, out, err) == (1, "", f"error: seed must be in [0, 2**32), got {seed}\n")
+    assert not Path("corpus").exists()
+
+
 def test_train_rejects_a_huge_resolution_in_one_error_line(capsys):
     run_chain(capsys, "gen-data")
     code, out, err = run(capsys, "train", "--config", "run.cfg", "--base-resolution", "100000000")

@@ -122,6 +122,8 @@ def test_load_config_file(tmp_path):
 def test_validate_accepts_the_defaults_and_the_edge_values():
     RunConfig().validate()
     RunConfig(epochs=0, batch_size=1, learning_rate=5e-324, n_bonafide=0, n_morphed=0).validate()
+    RunConfig(seed=0).validate()
+    RunConfig(seed=2**32 - 1).validate()
     # 1025 and 6 plan the 1024- and 8-pixel sides
     RunConfig(phi=0.0, tau=0.08, base_resolution=1025).validate()
     RunConfig(base_resolution=6, ensemble_weights=(1.0, 0.0, 0.0)).validate()
@@ -138,6 +140,8 @@ def test_validate_accepts_the_defaults_and_the_edge_values():
         ("learning_rate", float("inf"), "learning-rate must be positive and finite, got inf"),
         ("n_bonafide", -3, "corpus sizes must be non-negative"),
         ("n_morphed", -1, "corpus sizes must be non-negative"),
+        ("seed", -1, "seed must be in [0, 2**32), got -1"),
+        ("seed", 2**32, "seed must be in [0, 2**32), got 4294967296"),
     ],
 )
 def test_validate_refuses_a_bad_schedule_or_corpus_size(key, value, message):
