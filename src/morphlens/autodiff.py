@@ -14,12 +14,6 @@ matrix's gradient (col2im; the im2col unfolding is Chellapilla, Puri &
 Simard, 2006): a cached index maps each patch entry to its input cell, and
 bincount adds each cell's taps in the order the patch matrix holds them.
 
-A conv whose patch matrix is large splits its per-sample work (padding,
-im2col, the GEMMs, col2im) into contiguous ranges of the batch, one per CPU
-the process may use, run by a thread pool (_in_ranges). Every sum over the
-batch stays on the calling thread, and a sample's arithmetic is the same in
-any range, so no output bit depends on the number of CPUs.
-
 A closure reaches its own output only through a weak reference, so the tape
 holds no reference cycle: it is freed by reference counting as soon as the
 last tensor of it is dropped, without waiting for the cyclic collector.
@@ -40,9 +34,7 @@ whose scalar has no slot axis.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import functools
-import os
 import weakref
 from typing import Callable, Iterator, Sequence
 
@@ -176,54 +168,6 @@ def _accumulate(node: Tensor, value, owned: bool = False) -> None:
         node.grad += value
 
 
-# The CPUs this process may run on. A conv2d call whose patch matrix holds at
-# least two _RANGE_BYTES splits its samples into up to one range per CPU.
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_RANGE_BYTES = 1 << 20
-_workers = None  # the pool, made at the first split
-
-
-def _forget_workers() -> None:
-    global _workers
-    _workers = None  # a forked child has none of its parent's threads
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
-
-
-def _in_ranges(work: Callable[[int, int], None], batch: int, nbytes: int) -> None:
-    """Call work(lo, hi) on contiguous ranges that cover samples 0 .. batch - 1.
-
-    There is up to one range per CPU, each with at least _RANGE_BYTES of the
-    nbytes the call handles; a smaller call is one range on this thread.
-    Otherwise this thread takes the first range and a pool of _CPUS - 1
-    threads the rest, each in a copy of this thread's context, so numpy's
-    errstate holds there too. Every range has returned before this returns
-    or raises a range's exception.
-    """
-    global _workers
-    ranges = min(_CPUS, batch, nbytes // _RANGE_BYTES)
-    if ranges < 2:
-        work(0, batch)
-        return
-    # imported here, so a process that never splits does not pay for it
-    from concurrent.futures import ThreadPoolExecutor, wait
-
-    if _workers is None:
-        _workers = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="morphlens-conv2d")
-    bounds = [batch * i // ranges for i in range(ranges + 1)]
-    futures = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            futures.append(_workers.submit(contextvars.copy_context().run, work, lo, hi))
-        work(bounds[0], bounds[1])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
-
-
 @functools.lru_cache(maxsize=32)
 def _col2im_index(c_in: int, height: int, width: int, k_h: int, k_w: int, stride: int, padding: int) -> np.ndarray:
     """For one sample, the flat cell of the unpadded input each patch-matrix entry reads.
@@ -267,7 +211,15 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
             f"conv2d: kernel {k_h}x{k_w} exceeds padded input {height + 2 * padding}x{width + 2 * padding}"
         )
     taps, cells_out = c_in * k_h * k_w, out_h * out_w
-    padded = np.empty((batch, c_in, height + 2 * padding, width + 2 * padding)) if padding else x.data
+    if padding:
+        padded = np.empty((batch, c_in, height + 2 * padding, width + 2 * padding))
+        # only the border needs zeros: the copy of x fills the rest
+        inner_rows = slice(padding, padding + height)
+        padded[:, :, :padding] = padded[:, :, padding + height :] = 0.0
+        padded[:, :, inner_rows, :padding] = padded[:, :, inner_rows, padding + width :] = 0.0
+        padded[:, :, inner_rows, padding : padding + width] = x.data
+    else:
+        padded = x.data
     # Channel-major im2col: per sample, the patch matrix is (c_in·kH·kW) × (oh·ow).
     # Each gathered run is a whole output row rather than kW values, and one
     # GEMM per sample with the flat kernels lands the product in NCHW order.
@@ -279,21 +231,10 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
         writeable=False,
     )
     cols = np.empty((batch, taps, cells_out))
+    np.copyto(cols.reshape(windows.shape), windows)
     flat_kernels = kernels.data.reshape(c_out, -1)
-    acc = np.empty((batch, c_out, cells_out))
-
-    def _forward(lo: int, hi: int) -> None:
-        if padding:
-            # only the border needs zeros: the copy of x fills the rest
-            part, inner_rows = padded[lo:hi], slice(padding, padding + height)
-            part[:, :, :padding] = part[:, :, padding + height :] = 0.0
-            part[:, :, inner_rows, :padding] = part[:, :, inner_rows, padding + width :] = 0.0
-            part[:, :, inner_rows, padding : padding + width] = x.data[lo:hi]
-        np.copyto(cols[lo:hi].reshape(windows[lo:hi].shape), windows[lo:hi])
-        np.matmul(flat_kernels, cols[lo:hi], out=acc[lo:hi])
-        acc[lo:hi] += bias.data[:, None]
-
-    _in_ranges(_forward, batch, cols.nbytes)
+    acc = np.matmul(flat_kernels, cols)
+    acc += bias.data[:, None]
     out = Tensor(acc.reshape(batch, c_out, out_h, out_w))
     if _recording((x, kernels, bias)):
 
@@ -301,33 +242,26 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
             if bias.requires_grad:
                 _accumulate(bias, grad.sum(axis=(0, 2, 3)), owned=True)
             rows = grad.reshape(batch, c_out, cells_out)
-            per_sample = np.empty((batch, c_out, taps)) if kernels.requires_grad else None
+            if kernels.requires_grad:
+                summed = np.matmul(rows, cols.transpose(0, 2, 1)).sum(axis=0)
+                _accumulate(kernels, summed.reshape(kernels.shape), owned=True)
             if x.requires_grad:
                 index = _col2im_index(c_in, height, width, k_h, k_w, stride, padding)
                 cells = c_in * height * width
                 first = x.grad is None
                 if first:
                     x.grad = np.empty(x.shape)
-
-            def _range(lo: int, hi: int) -> None:
-                if per_sample is not None:
-                    np.matmul(rows[lo:hi], cols[lo:hi].transpose(0, 2, 1), out=per_sample[lo:hi])
-                if x.requires_grad:
-                    # col2im: each cell sums its taps from 0.0 in (ki, kj) order, as
-                    # adding the taps' strided blocks into a zeroed grid did. A range
-                    # reuses one sample's buffer, so no patch gradient spans the batch.
-                    d_cols = np.empty(cols.shape[1:])
-                    for sample, d_rows in zip(x.grad[lo:hi], rows[lo:hi]):
-                        np.matmul(flat_kernels.T, d_rows, out=d_cols)
-                        sums = np.bincount(index, d_cols.reshape(-1), minlength=cells + 1)[:cells]
-                        if first:
-                            sample[...] = sums.reshape(c_in, height, width)
-                        else:
-                            sample += sums.reshape(c_in, height, width)
-
-            _in_ranges(_range, batch, cols.nbytes)
-            if per_sample is not None:
-                _accumulate(kernels, per_sample.sum(axis=0).reshape(kernels.shape), owned=True)
+                # col2im: each cell sums its taps from 0.0 in (ki, kj) order, as
+                # adding the taps' strided blocks into a zeroed grid did. Every
+                # sample reuses one buffer, so no patch gradient spans the batch.
+                d_cols = np.empty(cols.shape[1:])
+                for sample, d_rows in zip(x.grad, rows):
+                    np.matmul(flat_kernels.T, d_rows, out=d_cols)
+                    sums = np.bincount(index, d_cols.reshape(-1), minlength=cells + 1)[:cells]
+                    if first:
+                        sample[...] = sums.reshape(c_in, height, width)
+                    else:
+                        sample += sums.reshape(c_in, height, width)
 
         def _rerun(a: Tensor, k: Tensor, b: Tensor) -> Tensor:
             if a is not x:

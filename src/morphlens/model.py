@@ -518,9 +518,9 @@ def train(
     labels = np.array([sample.label for sample in dataset], dtype=np.int64)
     params = [tensor for _, tensor in model.parameters()]
     # keep a step's blocks of several MB: a fresh process's first default
-    # train takes 106k-119k minor faults without it and 6.2k with it, a second
-    # 78k-96k and under 0.4k (ru_minflt, 2 CPUs); 1 << 23 keeps the first
-    # train's faults at 6.2k too, 1 << 22 does not (79k-88k)
+    # train takes 105k-117k minor faults without it and 6.1k-6.6k with it, a
+    # second 124k-137k and under 0.4k (ru_minflt, 2 CPUs); 1 << 23 keeps the
+    # first train's faults at 6.1k-6.6k too, 1 << 22 does not (59k-75k)
     autodiff.keep_heap(1 << 24)
     dropout_rng = Lcg(derive_seed(seed, _DROPOUT_STREAM))
     n = len(dataset)

@@ -1,10 +1,7 @@
 """Unit tests for the reverse-mode engine: op semantics, backward rules, oracle."""
 
 import gc
-import os
 import re
-import threading
-import time
 import weakref
 
 import numpy as np
@@ -30,7 +27,7 @@ from morphlens.autodiff import (
     softmax_cross_entropy,
 )
 from morphlens.errors import ArchitectureError, NotScalarError, ShapeMismatchError
-from morphlens.model import ClassificationObjective, build_model, model_shapes, plan_scaling
+from morphlens.model import ClassificationObjective, build_model, plan_scaling
 from morphlens.rng import Lcg
 
 
@@ -339,110 +336,6 @@ def test_conv2d_scaled_layers_match_reference(phi, batch):
         wanted = reference_conv2d_grads(inputs, kernels.data, upstream, layer.stride, layer.padding)
         for tensor, grad in zip((x, kernels, bias), wanted):
             assert relative_error(store[tensor], grad) <= 1e-12, i
-
-
-@pytest.fixture
-def split_into(monkeypatch):
-    """Set the CPU count conv2d splits its samples by, each count with a pool of its own size."""
-    original = autodiff._workers
-
-    def shut_a_new_pool() -> None:
-        if autodiff._workers not in (None, original):
-            autodiff._workers.shutdown()
-
-    def set_cpus(cpus: int) -> None:
-        shut_a_new_pool()
-        monkeypatch.setattr(autodiff, "_CPUS", cpus)
-        monkeypatch.setattr(autodiff, "_workers", None)
-
-    yield set_cpus
-    shut_a_new_pool()
-
-
-# the kernel shapes of the planned convs at phi = 0 and 1
-CONV_WEIGHTS = sorted(
-    {
-        layer.kernels.shape
-        for phi in (0.0, 1.0)
-        for layer in model_shapes(plan_scaling(phi)).layers
-        if layer.kind == "conv"
-    }
-)
-
-
-@pytest.mark.parametrize("padding", [0, 1])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("weights", CONV_WEIGHTS, ids=str)
-def test_conv2d_bytes_do_not_depend_on_the_split(split_into, monkeypatch, weights, stride, padding):
-    # every call with two or more samples splits, into up to 3 ranges
-    monkeypatch.setattr(autodiff, "_RANGE_BYTES", 1)
-    c_out, c_in, k_h, k_w = weights
-    rng = np.random.default_rng(c_out * 10 + stride * 2 + padding)
-    for batch in (1, 2, 3, 4, 5, 7, 8, 13, 32, 39, 40):
-        arrays = [rng.normal(size=shape) for shape in ((batch, c_in, 9, 7), weights, (c_out,))]
-        earlier = [rng.normal(size=array.shape) for array in arrays]
-        seen = []
-        for cpus in (1, 2, 3):
-            split_into(cpus)
-            leaves = [Tensor(array, requires_grad=True) for array in arrays]
-            out = conv2d(*leaves, stride, padding)
-            if cpus == 1:
-                upstream = rng.normal(size=out.shape)
-                upstream.reshape(-1)[::5] = -0.0
-            out.grad = upstream
-            out._backward()  # the first contribution to each gradient
-            got = [out.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
-            for leaf, grad in zip(leaves, earlier):
-                leaf.grad = grad.copy()
-            out._backward()  # a later one, added in place
-            seen.append(got + [leaf.grad.tobytes() for leaf in leaves])
-        assert seen[1] == seen[0], batch
-        assert seen[2] == seen[0], batch
-
-
-@pytest.mark.parametrize("raising", [0, 1, 2])
-def test_a_raising_range_is_raised_after_every_range_returned(split_into, raising):
-    # range 0 is the calling thread's, ranges 1 and 2 the pool's
-    split_into(3)
-    ranges = [(0, 3), (3, 6), (6, 10)]
-    returned: list[tuple[int, int]] = []
-    lock = threading.Lock()
-
-    def work(lo: int, hi: int) -> None:
-        if (lo, hi) == ranges[raising]:
-            raise RuntimeError(f"range {lo}-{hi} failed")
-        time.sleep(0.1)
-        with lock:
-            returned.append((lo, hi))
-
-    with pytest.raises(RuntimeError, match=f"^range {ranges[raising][0]}-{ranges[raising][1]} failed$"):
-        autodiff._in_ranges(work, 10, 3 * autodiff._RANGE_BYTES)
-    assert sorted(returned) == ranges[:raising] + ranges[raising + 1 :]
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_a_forked_child_splits_on_a_pool_of_its_own(split_into):
-    # the child inherits the parent's pool object but none of its threads
-    split_into(2)
-    autodiff._in_ranges(lambda lo, hi: None, 2, 2 * autodiff._RANGE_BYTES)
-    assert autodiff._workers is not None
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            seen = []
-            autodiff._in_ranges(lambda lo, hi: seen.append((lo, hi)), 2, 2 * autodiff._RANGE_BYTES)
-            code = 0 if sorted(seen) == [(0, 1), (1, 2)] else 2
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 30.0
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    if done[0] == 0:
-        os.kill(pid, 9)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's split did not return within 30 s")
-    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_dropped_tape_is_freed_without_cyclic_gc():

@@ -1,6 +1,5 @@
 """End-to-end CLI runs in a scratch directory: files, determinism, errors."""
 
-import concurrent.futures
 import contextlib
 import io
 import math
@@ -17,14 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphlens import autodiff, cli, config, explain
+from morphlens import cli, config, explain
 from morphlens.checkpoint import decode_params, encode_params
 from morphlens.cli import main
 from morphlens.config import CONFIG_KEYS, RunConfig
 from morphlens.data import load_corpus, preprocess, split
 from morphlens.explain import decode_feature_vector
 from morphlens.metrics import compute_metrics, confusion, format_report, parse_report
-from morphlens.model import ClassificationObjective, CnnModel, build_model, load_plan_sidecar, predict
+from morphlens.model import CnnModel, build_model, load_plan_sidecar, predict
 from morphlens.rng import Lcg
 from morphlens.viz import decode_pgm
 
@@ -1189,104 +1188,63 @@ def test_every_flag_value_ends_in_success_one_error_line_or_a_usage_error(prepar
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
-# conv2d's split of a call's samples across CPUs
+# training at batch 32 on the calling thread
 
-# 40 faces at the default 64 pixels: one batch of 32 per epoch, whose conv
-# patch matrices are large enough to split
-SPLIT_CONFIG = "n_bonafide=20\nn_morphed=20\nseed=1\n"
-
-
-def counting_submissions(monkeypatch) -> list:
-    """The calls handed to any thread pool from now on, conv2d's included."""
-    calls: list = []
-    submit = concurrent.futures.ThreadPoolExecutor.submit
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return submit(self, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", counted)
-    return calls
+# 40 faces at the default 64 pixels: one batch of 32 per epoch
+BATCH_32_CONFIG = "n_bonafide=20\nn_morphed=20\nseed=1\n"
 
 
-@pytest.fixture(scope="module")
-def trained_in_two_ranges(tmp_path_factory):
-    """A default seed-1 corpus and checkpoint, trained with conv2d split into two ranges, and the pool calls made."""
-    root = tmp_path_factory.mktemp("two-ranges")
-    paths = ["--corpus-dir", str(root / "corpus"), "--checkpoint", str(root / "model.ckpt")]
-    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
-        assert main(["gen-data", *paths]) == 0
-        patch.setattr(autodiff, "_CPUS", 2)
-        calls = counting_submissions(patch)
-        assert main(["train", *paths]) == 0
-    return root, len(calls)
-
-
-def test_a_default_train_writes_the_same_checkpoint_with_one_and_two_ranges(trained_in_two_ranges, monkeypatch, capsys):
-    root, submitted = trained_in_two_ranges
-    assert submitted > 0
-    monkeypatch.setattr(autodiff, "_CPUS", 1)
-    calls = counting_submissions(monkeypatch)
-    code, _, err = run(capsys, "train", "--corpus-dir", str(root / "corpus"), "--checkpoint", "one.ckpt")
-    assert code == 0, err
-    assert calls == []
-    assert Path("one.ckpt").read_bytes() == (root / "model.ckpt").read_bytes()
-    assert Path("one.ckpt.plan").read_bytes() == (root / "model.ckpt.plan").read_bytes()
-
-
-def test_an_explain_request_and_a_gradient_check_submit_nothing_to_the_pool(trained_in_two_ranges, monkeypatch, capsys):
-    # batch-1 calls stay on the calling thread, even where the CPUs would allow a split
-    root, _ = trained_in_two_ranges
-    monkeypatch.setattr(autodiff, "_CPUS", 2)
-    calls = counting_submissions(monkeypatch)
-    image = str(root / "corpus" / "morph" / "0003.ppm")
-    code, _, err = run(capsys, "explain", "--checkpoint", str(root / "model.ckpt"), "--image", image)
-    assert code == 0, err
-    model = build_model(RunConfig().plan(), 1)
-    autodiff.gradient_check(ClassificationObjective(model, 1), Lcg(7).uniform_array((1, 3, 64, 64)))
-    assert calls == []
+def run_child(code: str, cwd: Path) -> None:
+    """Run code in a fresh interpreter that imports morphlens from this checkout."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_diverging_split_run_prints_one_error_line(monkeypatch, capsys):
-    # each range runs under train's errstate, so no overflow warning reaches stderr
-    Path("split.cfg").write_text(SPLIT_CONFIG, encoding="ascii")
-    assert run(capsys, "gen-data", "--config", "split.cfg")[0] == 0
-    monkeypatch.setattr(autodiff, "_CPUS", 2)
-    calls = counting_submissions(monkeypatch)
-    code, out, err = run(capsys, "train", "--config", "split.cfg", "--learning-rate", "1e200")
-    assert calls
+def test_a_diverging_batch_32_run_prints_one_error_line(capsys):
+    # the batch-32 convs run under train's errstate, so no overflow warning reaches stderr
+    Path("batch32.cfg").write_text(BATCH_32_CONFIG, encoding="ascii")
+    assert run(capsys, "gen-data", "--config", "batch32.cfg")[0] == 0
+    code, out, err = run(capsys, "train", "--config", "batch32.cfg", "--learning-rate", "1e200")
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "training diverged" in err
 
 
+def test_a_batch_32_train_starts_no_thread():
+    Path("batch32.cfg").write_text(BATCH_32_CONFIG, encoding="ascii")
+    child = (
+        "import sys, threading\n"
+        "from morphlens.cli import main\n"
+        "for command in ('gen-data', 'train'):\n"
+        "    assert main([command, '--config', 'batch32.cfg']) == 0\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    run_child(child, Path.cwd())
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs to pin to one"
 )
-def test_a_run_pinned_to_one_cpu_writes_the_bytes_of_an_unpinned_one(monkeypatch, capsys):
-    Path("split.cfg").write_text(SPLIT_CONFIG, encoding="ascii")
-    calls = counting_submissions(monkeypatch)
+def test_a_run_pinned_to_one_cpu_writes_the_bytes_of_an_unpinned_one(capsys):
+    Path("batch32.cfg").write_text(BATCH_32_CONFIG, encoding="ascii")
     for command in ("gen-data", "train"):
-        code, _, err = run(capsys, command, "--config", "split.cfg")
+        code, _, err = run(capsys, command, "--config", "batch32.cfg")
         assert code == 0, err
-    assert calls  # the unpinned run split
     pinned = Path("pinned")
     pinned.mkdir()
-    shutil.copy("split.cfg", pinned)
+    shutil.copy("batch32.cfg", pinned)
     child = (
         "import os\n"
         f"os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})\n"
-        "from morphlens import autodiff\n"
         "from morphlens.cli import main\n"
-        "assert autodiff._CPUS == 1\n"
         "for command in ('gen-data', 'train'):\n"
-        "    assert main([command, '--config', 'split.cfg']) == 0\n"
+        "    assert main([command, '--config', 'batch32.cfg']) == 0\n"
     )
-    src = str(Path(autodiff.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", child], cwd=pinned, env=env, capture_output=True, timeout=300)
-    assert done.returncode == 0, done.stderr.decode()
+    run_child(child, pinned)
     for name in ("model.ckpt", "model.ckpt.plan", "corpus/manifest.tsv"):
         assert (pinned / name).read_bytes() == Path(name).read_bytes(), name
