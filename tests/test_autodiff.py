@@ -27,7 +27,7 @@ from morphlens.autodiff import (
     softmax_cross_entropy,
 )
 from morphlens.errors import ArchitectureError, NotScalarError, ShapeMismatchError
-from morphlens.model import ClassificationObjective, build_model, plan_scaling
+from morphlens.model import ClassificationObjective, build_model, model_shapes, plan_scaling
 from morphlens.rng import Lcg
 
 
@@ -336,6 +336,49 @@ def test_conv2d_scaled_layers_match_reference(phi, batch):
         wanted = reference_conv2d_grads(inputs, kernels.data, upstream, layer.stride, layer.padding)
         for tensor, grad in zip((x, kernels, bias), wanted):
             assert relative_error(store[tensor], grad) <= 1e-12, i
+
+
+# the kernel shapes of the planned convs at phi = 0, 1 and 2
+CONV_WEIGHTS = sorted(
+    {
+        layer.kernels.shape
+        for phi in (0.0, 1.0, 2.0)
+        for layer in model_shapes(plan_scaling(phi)).layers
+        if layer.kind == "conv"
+    }
+)
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("weights", CONV_WEIGHTS, ids=str)
+def test_conv2d_sample_bytes_do_not_depend_on_the_batch(weights, stride, padding):
+    # a sample's output and input gradient are its own GEMMs and col2im at any batch size
+    c_out, c_in, _, _ = weights
+    rng = np.random.default_rng(c_out * 10 + stride * 2 + padding)
+    kernels, bias = rng.normal(size=weights), rng.normal(size=(c_out,))
+    for batch in (2, 3, 5, 13, 40):
+        arrays = [rng.normal(size=(batch, c_in, 9, 7)), kernels, bias]
+        earlier = [rng.normal(size=array.shape) for array in arrays]
+        leaves = [Tensor(array, requires_grad=True) for array in arrays]
+        out = conv2d(*leaves, stride, padding)
+        upstream = rng.normal(size=out.shape)
+        upstream.reshape(-1)[::5] = -0.0
+        out.grad = upstream
+        out._backward()  # the first contribution to each gradient
+        for sample in range(batch):
+            alone = Tensor(arrays[0][sample : sample + 1], requires_grad=True)
+            one = conv2d(alone, kernels, bias, stride, padding)
+            assert one.data.tobytes() == out.data[sample].tobytes(), (batch, sample)
+            one.grad = upstream[sample : sample + 1]
+            one._backward()
+            assert alone.grad.tobytes() == leaves[0].grad[sample].tobytes(), (batch, sample)
+        got = [leaf.grad for leaf in leaves]
+        for leaf, grad in zip(leaves, earlier):
+            leaf.grad = grad.copy()
+        out._backward()  # a later one, added in place
+        for leaf, grad, first in zip(leaves, earlier, got):
+            assert leaf.grad.tobytes() == (grad + first).tobytes(), batch
 
 
 def test_dropped_tape_is_freed_without_cyclic_gc():

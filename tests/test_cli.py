@@ -1227,6 +1227,50 @@ def test_a_batch_32_train_starts_no_thread():
     run_child(child, Path.cwd())
 
 
+@pytest.fixture(scope="module")
+def trained_at_batch_32(tmp_path_factory):
+    """The BATCH_32_CONFIG corpus and checkpoint, written by this process."""
+    root = tmp_path_factory.mktemp("batch-32")
+    (root / "batch32.cfg").write_text(BATCH_32_CONFIG, encoding="ascii")
+    paths = ["--corpus-dir", str(root / "corpus"), "--checkpoint", str(root / "model.ckpt")]
+    for command in ("gen-data", "train"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", str(root / "batch32.cfg"), *paths]) == 0
+    return root
+
+
+# the batch-32 reads of a checkpoint, and the batch-1 calls of explain and the gradient audit
+AFTER_TRAIN = {
+    "eval": "assert main(['eval', *paths]) == 0\n",
+    "explain": "assert main(['explain', *paths, '--image', image]) == 0\n",
+    "dump-layer": "assert main(['dump-layer', *paths, '--image', image, '--layer-index', '2']) == 0\n",
+    "gradient-check": (
+        "from morphlens.autodiff import gradient_check\n"
+        "from morphlens.config import RunConfig\n"
+        "from morphlens.model import ClassificationObjective, build_model\n"
+        "from morphlens.rng import Lcg\n"
+        "model = build_model(RunConfig().plan(), 1)\n"
+        "gradient_check(ClassificationObjective(model, 1), Lcg(7).uniform_array((1, 3, 64, 64)))\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("step", AFTER_TRAIN)
+def test_a_step_after_train_starts_no_thread(trained_at_batch_32, step):
+    root = trained_at_batch_32
+    child = (
+        "import sys, threading\n"
+        "from morphlens.cli import main\n"
+        f"paths = ['--config', {str(root / 'batch32.cfg')!r}, '--corpus-dir', {str(root / 'corpus')!r},"
+        f" '--checkpoint', {str(root / 'model.ckpt')!r}]\n"
+        f"image = {str(root / 'corpus' / 'morph' / '0003.ppm')!r}\n"
+        f"{AFTER_TRAIN[step]}"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    run_child(child, Path.cwd())
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs to pin to one"
 )
