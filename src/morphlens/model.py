@@ -517,11 +517,6 @@ def train(
     inputs = ModelInputs([sample.image for sample in dataset], model.input_resolution)
     labels = np.array([sample.label for sample in dataset], dtype=np.int64)
     params = [tensor for _, tensor in model.parameters()]
-    # keep a step's blocks of several MB: a fresh process's first default
-    # train takes 105k-117k minor faults without it and 6.1k-6.6k with it, a
-    # second 124k-137k and under 0.4k (ru_minflt, 2 CPUs); 1 << 23 keeps the
-    # first train's faults at 6.1k-6.6k too, 1 << 22 does not (59k-75k)
-    autodiff.keep_heap(1 << 24)
     dropout_rng = Lcg(derive_seed(seed, _DROPOUT_STREAM))
     n = len(dataset)
     pools = [np.flatnonzero(labels == c).tolist() for c in (0, 1)]

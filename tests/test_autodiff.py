@@ -1,6 +1,7 @@
 """Unit tests for the reverse-mode engine: op semantics, backward rules, oracle."""
 
 import gc
+import math
 import re
 import weakref
 
@@ -851,9 +852,27 @@ def test_gradient_check_detects_corrupted_backward():
     assert error == pytest.approx(0.5, abs=1e-6)
 
 
-def test_gradient_check_rejects_bad_epsilon():
-    with pytest.raises(ValueError):
-        gradient_check(LinearNet(), np.array([[1.0, 2.0]]), epsilon=0.0)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_gradient_check_rates_a_non_finite_gradient_inf(value):
+    class Poisoned(LinearNet):
+        def __call__(self, x):
+            out = dense(x, self.w, self.b)
+            real = out._backward
+
+            def corrupted():
+                real()
+                self.w.grad[0, 0] = value  # sabotage: one non-finite weight gradient
+
+            out._backward = corrupted
+            return reduce_sum(out)
+
+    assert gradient_check(Poisoned(), np.array([[0.7, -0.3]])) == math.inf
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-5, math.nan, math.inf, -math.inf])
+def test_gradient_check_rejects_bad_epsilon(epsilon):
+    with pytest.raises(ValueError, match=f"got {epsilon}$"):
+        gradient_check(LinearNet(), np.array([[1.0, 2.0]]), epsilon=epsilon)
 
 
 def test_full_network_backward_vs_finite_differences():

@@ -1271,6 +1271,26 @@ def test_a_step_after_train_starts_no_thread(trained_at_batch_32, step):
     run_child(child, Path.cwd())
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="the freed heap top is trimmed by glibc's malloc")
+def test_a_long_lived_process_explains_without_faulting_its_heap_in_again(trained_at_batch_32):
+    # a process that never trained still keeps its freed heap: autodiff sets the policy at import
+    root = trained_at_batch_32
+    child = (
+        "import contextlib, io, resource\n"
+        "from morphlens.cli import main\n"
+        f"argv = ['explain', '--config', {str(root / 'batch32.cfg')!r}, '--checkpoint', {str(root / 'model.ckpt')!r},"
+        f" '--image', {str(root / 'corpus' / 'morph' / '0003.ppm')!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(argv) == 0\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    for _ in range(50):\n"
+        "        assert main(argv) == 0\n"
+        "per_request = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50\n"
+        "assert per_request < 20, per_request\n"
+    )
+    run_child(child, Path.cwd())
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs to pin to one"
 )
