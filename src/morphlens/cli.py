@@ -97,6 +97,8 @@ def _check_checkpoint_writable(ckpt: Path) -> None:
     for target in (ckpt, _sidecar_path(ckpt)):
         if target.is_dir():
             raise CliError(f"cannot write checkpoint {ckpt}: {target} is a directory")
+        if target.exists() and not target.is_file():  # a FIFO, socket or device
+            raise CliError(f"cannot write checkpoint {ckpt}: {target} is not a regular file")
     parent = next((p for p in ckpt.parents if p.exists()), ckpt.parent)
     if not parent.is_dir() or not os.access(parent, os.W_OK | os.X_OK):
         raise CliError(f"cannot write checkpoint {ckpt}: {parent} is not a writable directory")

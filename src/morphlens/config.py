@@ -193,20 +193,20 @@ def write_file(path, data: bytes) -> None:
     the next truncate of that file then waits for it. The file, its links
     and its mode are kept, and a symlink is written through. Nothing is
     fsynced: after a crash the file may be empty, never new bytes on an old
-    tail.
+    tail. A FIFO with no reader raises OSError (ENXIO) rather than blocking.
     """
     try:
         handle = open(path, "xb")
     except FileExistsError:
-        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666))
         handle = open(path, "r+b")
     with handle:
         handle.write(data)
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Apply key=value text to base, or to the defaults."""
-    cfg = RunConfig(**vars(base)) if base is not None else RunConfig()
+def parse_config(text: str) -> RunConfig:
+    """Apply key=value text to the defaults."""
+    cfg = RunConfig()
     for key, raw in parse_pairs(text, "config").items():
         setattr(cfg, key, parse_value(key, raw))
     return cfg

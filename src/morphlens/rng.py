@@ -6,8 +6,8 @@ All randomness flows through one 32-bit linear congruential generator,
 
 (the Numerical Recipes constants), so corpora, initializations, and dropout
 masks are reproducible across platforms without depending on any external
-generator's version; uniform_array jumps ahead to compute a block of states
-at once, with the bits of as many scalar draws. Full-image noise grids
+generator's version; uniform_array computes a block of states at once in
+closed form, with the bits of as many scalar draws. Full-image noise grids
 instead hash each pixel index through a murmur-style avalanche mix (see
 noise_grid) so they can be produced vectorized with no correlation between
 neighboring pixels.
@@ -15,7 +15,6 @@ neighboring pixels.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -39,7 +38,7 @@ def derive_seed(seed: int, *salts: int) -> int:
 
 
 class Lcg:
-    """Scalar LCG stream with uniform, integer, normal, and shuffle draws."""
+    """Scalar LCG stream with uniform, integer, N(0, 1) and shuffle draws."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK32
@@ -59,17 +58,17 @@ class Lcg:
         value = int(self.next_u32() / 2.0**32 * n)
         return min(value, n - 1)
 
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
+    def normal(self) -> float:
         if self._spare_normal is not None:
             z = self._spare_normal
             self._spare_normal = None
-            return mean + std * z
+            return z
         # Box-Muller; offsets keep the uniforms strictly inside (0, 1).
         u1 = (self.next_u32() + 0.5) / 2.0**32
         u2 = (self.next_u32() + 0.5) / 2.0**32
         radius = math.sqrt(-2.0 * math.log(u1))
         self._spare_normal = radius * math.sin(2.0 * math.pi * u2)
-        return mean + std * radius * math.cos(2.0 * math.pi * u2)
+        return radius * math.cos(2.0 * math.pi * u2)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates."""
@@ -77,53 +76,29 @@ class Lcg:
             j = self.randint(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def uniform_array(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        """The next prod(shape) uniform draws at once, equal bit for bit to as many uniform calls.
+    def uniform_array(self, shape) -> np.ndarray:
+        """The next prod(shape) [0, 1) draws at once, equal bit for bit to as many uniform calls.
 
-        Draw k (from 0) reads the state mult[k]·state + inc[k] mod 2^32, from
-        the jump-ahead table of _jump_ahead (Brown, "Random number generation
-        with arbitrary strides", Trans. ANS, 1994), and the stream is left
-        where the scalar calls would leave it.
+        Draw k (from 1) reads the state a^k·s + c·(1 + a + … + a^(k−1)) mod 2^32,
+        with s the current state, a = _MULT and c = _INC. A wrapping uint64 cumprod
+        and cumsum give both terms exactly mod 2^64, so mod 2^32, and nothing divides
+        by a − 1 (even, so not invertible mod 2^32). The stream is left where the
+        scalar calls would leave it.
         """
         count = int(np.prod(shape))
-        mult, inc = _jump_ahead(count)
-        states = (((mult * np.uint64(self.state)) & _MASK32_U64) + inc) & _MASK32_U64
+        powers = np.cumprod(np.full(count, _MULT, dtype=np.uint64))
+        sums = np.cumsum(powers) - powers + np.uint64(1)
+        states = (powers * np.uint64(self.state) + sums * np.uint64(_INC)) & _MASK32_U64
         if count:
             self.state = int(states[-1])
-        return (low + (high - low) * (states / 2.0**32)).reshape(shape)
+        return (states / 2.0**32).reshape(shape)
 
-    def normal_array(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+    def normal_array(self, shape) -> np.ndarray:
         count = int(np.prod(shape))
         values = np.empty(count, dtype=np.float64)
         for i in range(count):
-            values[i] = self.normal(mean, std)
+            values[i] = self.normal()
         return values.reshape(shape)
-
-
-@functools.lru_cache(maxsize=4)
-def _jump_ahead(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only uint64 (mult, inc) with state_k = mult[k-1]·state_0 + inc[k-1] mod 2^32, for k = 1..count.
-
-    Built by doubling: steps m+1..m+i are steps 1..i applied after step m,
-    (mult, inc)[m+i] = (mult[i]·mult[m], mult[i]·inc[m] + inc[i]). Each
-    product of two 32-bit values fits in uint64 and is masked at once, so
-    nothing overflows. The closed form c·(a^k − 1)/(a − 1) is no use here:
-    a − 1 is even, so it has no inverse mod 2^32. The table depends on count
-    alone, and a train run's dropout asks for one or two mask sizes, so the
-    last few tables are kept.
-    """
-    mult = np.empty(count, dtype=np.uint64)
-    inc = np.empty(count, dtype=np.uint64)
-    mult[:1], inc[:1] = _MULT, _INC
-    done = 1
-    while done < count:
-        take = min(done, count - done)
-        head = mult[:take]
-        mult[done : done + take] = (head * mult[done - 1]) & _MASK32_U64
-        inc[done : done + take] = (((head * inc[done - 1]) & _MASK32_U64) + inc[:take]) & _MASK32_U64
-        done += take
-    mult.flags.writeable = inc.flags.writeable = False
-    return mult, inc
 
 
 def noise_grid(seed: int, height: int, width: int, amplitude: float) -> np.ndarray:

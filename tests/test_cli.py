@@ -764,6 +764,30 @@ def test_a_fifo_at_the_image_path_is_one_error_line_without_blocking(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, fifo",
+    [(["eval"], "out/metrics.txt"), (["train", "--checkpoint", "fifo.ckpt"], "fifo.ckpt")],
+    ids=["eval-metrics", "train-checkpoint"],
+)
+def test_a_fifo_at_an_output_path_is_one_error_line_without_blocking(capsys, argv, fifo):
+    run_chain(capsys, "gen-data", "train")
+    Path(fifo).parent.mkdir(exist_ok=True)
+    os.mkfifo(fifo)
+    before = {path: path.stat().st_mtime_ns for path in Path(".").rglob("*")}
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(main([*argv, "--config", "run.cfg"])), daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), f"{argv[0]} blocked on a FIFO at {fifo}"
+    assert codes == [1]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert fifo in err
+    assert {path: path.stat().st_mtime_ns for path in Path(".").rglob("*")} == before
+    assert Path(fifo).is_fifo()
+
+
+@pytest.mark.parametrize(
     "argv, path",
     [
         (["eval"], "model.ckpt"),

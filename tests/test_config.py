@@ -80,13 +80,6 @@ def test_parse_skips_blanks_and_comments():
     assert cfg.epochs == 3
 
 
-def test_parse_does_not_mutate_base():
-    base = RunConfig()
-    out = parse_config("epochs=7", base=base)
-    assert out.epochs == 7
-    assert base.epochs == 5
-
-
 def test_weights_parse_with_spaces():
     assert parse_value("ensemble_weights", "0.5, 0.25,0.25") == (0.5, 0.25, 0.25)
 

@@ -44,23 +44,24 @@ def test_shuffle_is_a_permutation():
 
 
 def test_normal_array_moments():
-    values = Lcg(21).normal_array((20000,), 1.5, 2.0)
-    assert abs(values.mean() - 1.5) < 0.05
-    assert abs(values.std() - 2.0) < 0.05
+    values = Lcg(21).normal_array((20000,))
+    assert abs(values.mean()) < 0.05
+    assert abs(values.std() - 1.0) < 0.05
 
 
 def test_uniform_array_shape_and_range():
-    values = Lcg(5).uniform_array((7, 3), 10.0, 12.0)
+    values = Lcg(5).uniform_array((7, 3))
     assert values.shape == (7, 3)
-    assert ((values >= 10.0) & (values < 12.0)).all()
+    assert ((values >= 0.0) & (values < 1.0)).all()
 
 
-@pytest.mark.parametrize("count", [0, 1, 2, 511, 512, 513])
+# at 70,000 draws the uint64 powers and sums wrap thousands of times
+@pytest.mark.parametrize("count", [0, 1, 2, 511, 512, 513, 70000])
 def test_uniform_array_equals_the_scalar_draws_and_leaves_the_same_state(count):
-    for seed, low, high in ((0, 0.0, 1.0), (7, -2.5, 7.25), (2**32 - 1, 10.0, 12.0)):
+    for seed in (0, 7, 2**32 - 1):
         vector, scalar = Lcg(seed), Lcg(seed)
-        values = vector.uniform_array((count,), low, high)
-        expected = np.array([scalar.uniform(low, high) for _ in range(count)], dtype=np.float64)
+        values = vector.uniform_array((count,))
+        expected = np.array([scalar.uniform() for _ in range(count)], dtype=np.float64)
         assert values.tobytes() == expected.tobytes()
         assert vector.state == scalar.state
 
